@@ -7,7 +7,7 @@
 //! exactly one `Result<Report, SoptError>` per input scenario, in input
 //! order, regardless of thread interleaving, with a panicking solve
 //! contained per scenario as [`SoptError::WorkerPanic`] — while gaining the
-//! engine's work-stealing scheduler and memo cache. Code that wants cache
+//! engine's cost-ordered scheduler and memo cache. Code that wants cache
 //! control, run statistics, or streaming delivery should use
 //! [`super::Engine`] directly.
 

@@ -310,17 +310,6 @@ impl SolveCache {
     }
 
     /// An empty cache bounded to at most `report_capacity` memoized reports
-    /// and `profile_capacity` memoized equilibrium profiles.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build caches through `EngineBuilder::{report_capacity, profile_capacity}` \
-                (or `SolveCache::bounded` for a bare cache)"
-    )]
-    pub fn with_capacity(report_capacity: usize, profile_capacity: usize) -> Self {
-        Self::bounded(report_capacity, profile_capacity)
-    }
-
-    /// An empty cache bounded to at most `report_capacity` memoized reports
     /// and `profile_capacity` memoized equilibrium profiles (each split
     /// exactly across the shards; a capacity of 0 disables that table).
     pub fn bounded(report_capacity: usize, profile_capacity: usize) -> Self {

@@ -1,5 +1,5 @@
-//! [`Engine`] — the streaming, work-stealing, memoizing execution engine
-//! for scenario fleets.
+//! [`Engine`] — the streaming, memoizing execution engine for scenario
+//! fleets.
 //!
 //! `api::batch` (PR 2) proved the fleet contract — one result per input, in
 //! input order, panics contained per scenario — but its equal-count
@@ -7,9 +7,10 @@
 //! engine keeps the contract and replaces the machinery:
 //!
 //! * **[`scheduler`]** — a size-aware cost model (edge count × solver class
-//!   × task) seeds per-worker deques longest-job-first; idle workers steal
-//!   the back half of the richest queue. One 500-edge network among ten
-//!   thousand Pigou instances no longer pins a single thread.
+//!   × task) sorts the fleet heaviest-first, and workers claim jobs in that
+//!   order from one shared atomic index. One 500-edge network among ten
+//!   thousand Pigou instances starts first instead of pinning a thread at
+//!   the end.
 //! * **[`cache`]** — a sharded memo table keyed by the canonical spec
 //!   round-trip ([`fingerprint`]): identical scenarios solve once, warm
 //!   re-runs replay bit-identical reports, and the Nash/optimum profiles
@@ -57,10 +58,9 @@ use super::solve::{impl_solve_knobs, SolveOptions, Task};
 
 pub use cache::{CacheCounters, SolveCache, DEFAULT_PROFILE_CAPACITY, DEFAULT_REPORT_CAPACITY};
 pub use fingerprint::Fingerprint;
-pub use scheduler::{run_chunked_reference, scenario_cost};
 pub use stream::{EngineStream, Ordered, StreamItem};
 
-/// What one engine run did: delivery counts, cache traffic, steal count.
+/// What one engine run did: delivery counts and cache traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Scenarios in the fleet.
@@ -90,7 +90,9 @@ pub struct EngineStats {
     pub profile_evictions: u64,
     /// Report-table entries evicted by the capacity bound.
     pub report_evictions: u64,
-    /// Jobs moved between worker queues by stealing.
+    /// Always 0: no engine path moves jobs between workers. Kept so
+    /// readers of the stats (and the serve `stats` envelope) keep their
+    /// shape.
     pub steals: u64,
     /// Serve requests shed for an unmeetable deadline (each answered with a
     /// typed `dropped` response). Always 0 on the fleet entry points.
@@ -299,12 +301,12 @@ impl Engine {
 impl_solve_knobs!(Engine);
 
 /// One builder for every way the engine runs — fleet batches, single
-/// solves, and the serve daemon. It gathers the knobs that used to be
-/// plumbed positionally (`SolveCache::with_capacity(a, b)`) or re-declared
-/// per entry point: worker threads, the two cache capacities, the optional
-/// disk-persistence path, the serve shed policy, and the full solve knob
-/// set (task/tolerance/α/steps/max_iters/strategy via the same
-/// `impl_solve_knobs!` surface as [`Engine`] and [`super::Batch`]).
+/// solves, and the serve daemon. It gathers the knobs that would otherwise
+/// be re-declared per entry point: worker threads, the two cache
+/// capacities, the optional disk-persistence path, the serve shed policy,
+/// and the full solve knob set (task/tolerance/α/steps/max_iters/strategy
+/// via the same `impl_solve_knobs!` surface as [`Engine`] and
+/// [`super::Batch`]).
 ///
 /// ```no_run
 /// use stackopt::api::{EngineBuilder, Scenario, Task};

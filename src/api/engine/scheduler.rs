@@ -1,24 +1,18 @@
-//! The engine's work-stealing scheduler.
+//! The engine's fleet scheduler.
 //!
-//! ## Why not equal-count chunks
-//!
-//! The PR 2 batch runner split a fleet into contiguous equal-count chunks,
-//! one thread per chunk. Real fleets are *skewed* — a handful of 500-edge
-//! networks among thousands of 2-link Pigou instances — and whichever chunk
-//! drew the big scenarios runs long after every other thread went idle.
-//!
-//! ## What this module does instead
+//! A fleet is known up front, and it is usually *skewed*: a handful of
+//! 500-edge networks among thousands of 2-link Pigou instances. Equal-count
+//! chunks leave whichever thread drew the big scenarios running long after
+//! the others went idle. Instead:
 //!
 //! 1. **Cost model.** Every scenario gets an a-priori cost estimate from
 //!    its size, class, and task ([`scenario_cost`]): the parallel-link
 //!    equalizer is near-linear in links, Frank–Wolfe networks pay per-edge
 //!    per-iteration, curve tasks multiply by their α samples.
-//! 2. **LPT seeding.** Jobs are assigned longest-processing-time-first to
-//!    the least-loaded worker queue, so the initial split is already
-//!    balanced *by estimated cost*, not by count.
-//! 3. **Work stealing.** Cost estimates are estimates. A worker that drains
-//!    its own deque steals the back half of the richest victim's deque and
-//!    keeps going; all cores stay busy until the global tail.
+//! 2. **Heaviest first.** The fleet is sorted by descending cost (stable,
+//!    so equal costs keep input order) and every worker claims the next
+//!    job from one shared atomic index. The long jobs start first; the
+//!    cheap ones fill in around them, so all workers finish close together.
 //!
 //! Results are pushed to the caller's sink **on the calling thread** as
 //! they complete (workers send over a channel), so sinks need neither
@@ -27,14 +21,10 @@
 //! exactly once per input index; a scenario whose solve panics is
 //! delivered as [`SoptError::WorkerPanic`], and its worker survives to take
 //! the next job.
-//!
-//! [`run_chunked_reference`] preserves the PR 2 algorithm verbatim — it is
-//! the baseline the `engine_throughput` bench measures the scheduler
-//! against, and deliberately receives no cache and no cost model.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use parking_lot::Mutex;
@@ -42,7 +32,7 @@ use parking_lot::Mutex;
 use super::super::error::SoptError;
 use super::super::report::Report;
 use super::super::scenario::{Scenario, ScenarioClass};
-use super::super::solve::{run_with, run_with_memo, SolveOptions};
+use super::super::solve::{run_with, run_with_memo, SolveOptions, Task};
 use super::cache::{SolveCache, SubMemo};
 use super::fingerprint::Fingerprint;
 use super::EngineStats;
@@ -51,17 +41,11 @@ use super::EngineStats;
 /// completed-but-undelivered reports the engine holds for a slow sink.
 const SINK_WINDOW: usize = 64;
 
-/// One schedulable unit: an input scenario with its position and cost.
-struct Job {
-    index: usize,
-    scenario: Scenario,
-    cost: u64,
-}
-
 /// Estimated solve cost of one scenario under the engine's cost model:
 /// `size × class weight × task weight`, in arbitrary units. Only relative
-/// magnitudes matter — the scheduler uses this to seed balanced queues.
-pub fn scenario_cost(scenario: &Scenario, options: &SolveOptions) -> u64 {
+/// magnitudes matter — the scheduler uses this to start heavy jobs first.
+/// Saturating throughout: it runs before [`SolveOptions`] are validated.
+fn scenario_cost(scenario: &Scenario, options: &SolveOptions) -> u64 {
     let m = scenario.size().max(1) as u64;
     // Class weight: the parallel-link equalizer bisects in ~linear work per
     // solve; network classes run Frank–Wolfe, whose per-iteration shortest
@@ -71,18 +55,19 @@ pub fn scenario_cost(scenario: &Scenario, options: &SolveOptions) -> u64 {
         ScenarioClass::Network => m.saturating_mul(m),
         ScenarioClass::Multi => 2u64.saturating_mul(m).saturating_mul(m),
     };
+    let steps = options.steps as u64;
     // Task weight: how many equilibrium-grade solves the task performs.
     let task = match options.task {
-        super::super::solve::Task::Beta => 4,
-        super::super::solve::Task::Curve => 2 * (options.steps as u64 + 1),
-        super::super::solve::Task::Equilib => 2,
-        super::super::solve::Task::Tolls => 3,
-        super::super::solve::Task::Llf => 2,
+        Task::Beta => 4,
+        Task::Curve => steps.saturating_add(1).saturating_mul(2),
+        Task::Equilib => 2,
+        Task::Tolls => 3,
+        Task::Llf => 2,
         // Candidate/grid evaluations plus the revenue-vs-β sweep, each an
         // equilibrium-grade induced solve.
-        super::super::solve::Task::Pricing => {
-            (options.price_steps as u64).saturating_add(options.steps as u64) + 2
-        }
+        Task::Pricing => (options.price_steps as u64)
+            .saturating_add(steps)
+            .saturating_add(2),
     };
     class.saturating_mul(task).max(1)
 }
@@ -126,79 +111,35 @@ pub(crate) fn cached_solve(
 
 /// Solves one job with per-scenario panic containment.
 fn solve_job(
-    job: Job,
+    index: usize,
+    scenario: Scenario,
     options: &SolveOptions,
     cache: Option<&SolveCache>,
     counters: &RunCounters,
 ) -> (usize, Result<Report, SoptError>) {
-    let index = job.index;
     let result = catch_unwind(AssertUnwindSafe(|| {
-        cached_solve(job.scenario, options, cache, counters)
+        cached_solve(scenario, options, cache, counters)
     }))
     .unwrap_or(Err(SoptError::WorkerPanic { index }));
     (index, result)
 }
 
-/// Pops the next job for worker `me`: its own deque front first, then the
-/// back half of the richest victim. Returns `None` only when every deque
-/// was observed empty — jobs are never re-enqueued from outside, so that
-/// observation is final.
-fn take_job(me: usize, queues: &[Mutex<VecDeque<Job>>], steals: &AtomicU64) -> Option<Job> {
-    if let Some(job) = queues[me].lock().pop_front() {
-        return Some(job);
-    }
-    loop {
-        // Pick the victim with the most remaining work.
-        let victim = queues
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != me)
-            .map(|(i, q)| (i, q.lock().len()))
-            .max_by_key(|&(_, len)| len)?;
-        if victim.1 == 0 {
-            return None;
-        }
-        // Steal the back half (one to run now, the rest into our deque).
-        // Victim and own locks are never held together, so no ordering
-        // deadlock is possible.
-        let mut stolen: Vec<Job> = {
-            let mut vq = queues[victim.0].lock();
-            let len = vq.len();
-            if len == 0 {
-                continue; // raced with the victim finishing; rescan
-            }
-            let keep = len / 2;
-            vq.split_off(keep).into_iter().collect()
-        };
-        steals.fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        let first = stolen.pop().expect("stole at least one job");
-        if !stolen.is_empty() {
-            let mut mine = queues[me].lock();
-            for job in stolen {
-                mine.push_back(job);
-            }
-        }
-        return Some(first);
-    }
-}
-
-/// Seeds `threads` worker deques longest-processing-time-first: jobs in
-/// descending cost order, each to the currently least-loaded queue.
-fn seed_queues(jobs: Vec<Job>, threads: usize) -> Vec<Mutex<VecDeque<Job>>> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost));
-    let mut queues: Vec<VecDeque<Job>> = (0..threads).map(|_| VecDeque::new()).collect();
-    let mut loads = vec![0u64; threads];
-    let mut slots: Vec<Option<Job>> = jobs.into_iter().map(Some).collect();
-    for i in order {
-        let job = slots[i].take().expect("each job assigned once");
-        let w = (0..threads)
-            .min_by_key(|&w| loads[w])
-            .expect("threads >= 1");
-        loads[w] += job.cost;
-        queues[w].push_back(job);
-    }
-    queues.into_iter().map(Mutex::new).collect()
+/// The fleet as `(input index, scenario)` jobs in claim order: heaviest
+/// first by [`scenario_cost`], equal costs in input order. Each scenario
+/// sits in its own slot so exactly one worker can take it out.
+fn claim_order(
+    scenarios: Vec<Scenario>,
+    options: &SolveOptions,
+) -> Vec<(usize, Mutex<Option<Scenario>>)> {
+    let mut jobs: Vec<(u64, usize, Scenario)> = scenarios
+        .into_iter()
+        .enumerate()
+        .map(|(index, scenario)| (scenario_cost(&scenario, options), index, scenario))
+        .collect();
+    jobs.sort_by_key(|&(cost, ..)| Reverse(cost)); // stable
+    jobs.into_iter()
+        .map(|(_, index, scenario)| (index, Mutex::new(Some(scenario))))
+        .collect()
 }
 
 /// Runs a fleet through the scheduler, delivering every result to `sink`
@@ -233,40 +174,22 @@ where
     let counters = RunCounters::default();
 
     if threads == 1 {
-        // Sequential fast path: no queues, no channel — and completion
-        // order equals input order, which the streaming tests rely on.
+        // Sequential fast path: no channel — and completion order equals
+        // input order, which the streaming tests rely on.
         for (index, scenario) in scenarios.into_iter().enumerate() {
             if cancelled() {
                 break;
             }
-            let (index, result) = solve_job(
-                Job {
-                    index,
-                    scenario,
-                    cost: 0,
-                },
-                options,
-                cache,
-                &counters,
-            );
+            let (index, result) = solve_job(index, scenario, options, cache, &counters);
             stats.delivered += 1;
             sink(index, result);
         }
     } else {
-        let jobs: Vec<Job> = scenarios
-            .into_iter()
-            .enumerate()
-            .map(|(index, scenario)| {
-                let cost = scenario_cost(&scenario, options);
-                Job {
-                    index,
-                    scenario,
-                    cost,
-                }
-            })
-            .collect();
-        let queues = seed_queues(jobs, threads);
-        let steals = AtomicU64::new(0);
+        let jobs = claim_order(scenarios, options);
+        // Relaxed suffices: the read-modify-write hands each position to
+        // exactly one worker, the job list was built before the workers
+        // spawned, and each scenario is handed over through its own lock.
+        let next = AtomicUsize::new(0);
         // Bounded: a sink that stalls (a blocked downstream pipe, a
         // consumer that stops pulling) blocks the workers instead of
         // buffering the fleet's reports — the engine's streaming memory
@@ -275,17 +198,18 @@ where
             mpsc::sync_channel::<(usize, Result<Report, SoptError>)>(threads * SINK_WINDOW);
         let mut delivered = vec![false; n];
         crossbeam::thread::scope(|s| {
-            for me in 0..threads {
+            for _ in 0..threads {
                 let tx = tx.clone();
-                let queues = &queues;
-                let steals = &steals;
-                let counters = &counters;
+                let (jobs, next, counters) = (&jobs, &next, &counters);
                 s.spawn(move |_| {
                     while !cancelled() {
-                        let Some(job) = take_job(me, queues, steals) else {
+                        let Some((index, slot)) = jobs.get(next.fetch_add(1, Ordering::Relaxed))
+                        else {
                             break;
                         };
-                        if tx.send(solve_job(job, options, cache, counters)).is_err() {
+                        let scenario = slot.lock().take().expect("each job is claimed once");
+                        let done = solve_job(*index, scenario, options, cache, counters);
+                        if tx.send(done).is_err() {
                             break; // receiver gone: the run was abandoned
                         }
                     }
@@ -309,7 +233,6 @@ where
                 }
             }
         }
-        stats.steals = steals.load(Ordering::Relaxed);
     }
 
     // Report-table traffic is counted per run (exact under concurrent
@@ -331,82 +254,12 @@ where
     stats
 }
 
-/// The PR 2 batch algorithm, kept verbatim as the scheduler's benchmark
-/// baseline: contiguous equal-count chunks, one scoped thread per chunk,
-/// per-chunk result vectors concatenated in spawn order. No cost model, no
-/// stealing, no cache — exactly what `Batch::run` did before the engine.
-pub fn run_chunked_reference(
-    scenarios: Vec<Scenario>,
-    options: &SolveOptions,
-    threads: usize,
-) -> Vec<Result<Report, SoptError>> {
-    let n = scenarios.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return scenarios
-            .into_iter()
-            .enumerate()
-            .map(|(index, sc)| {
-                catch_unwind(AssertUnwindSafe(|| run_with(sc, options)))
-                    .unwrap_or(Err(SoptError::WorkerPanic { index }))
-            })
-            .collect();
-    }
-    let chunk_size = n.div_ceil(threads);
-    let mut chunks: Vec<(usize, Vec<Scenario>)> = Vec::new();
-    let mut scenarios = scenarios;
-    let mut start = 0usize;
-    while !scenarios.is_empty() {
-        let rest = scenarios.split_off(chunk_size.min(scenarios.len()));
-        let len = scenarios.len();
-        chunks.push((start, std::mem::replace(&mut scenarios, rest)));
-        start += len;
-    }
-    let per_chunk: Vec<Vec<Result<Report, SoptError>>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<(usize, usize, _)> = chunks
-            .into_iter()
-            .map(|(chunk_start, items)| {
-                let len = items.len();
-                let handle = s.spawn(move |_| {
-                    items
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, sc)| {
-                            catch_unwind(AssertUnwindSafe(|| run_with(sc, options))).unwrap_or(Err(
-                                SoptError::WorkerPanic {
-                                    index: chunk_start + j,
-                                },
-                            ))
-                        })
-                        .collect::<Vec<_>>()
-                });
-                (chunk_start, len, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(chunk_start, len, handle)| {
-                handle.join().unwrap_or_else(|_| {
-                    (chunk_start..chunk_start + len)
-                        .map(|index| Err(SoptError::WorkerPanic { index }))
-                        .collect()
-                })
-            })
-            .collect()
-    })
-    .expect("all chunk workers are joined; their panics are handled per chunk");
-    per_chunk.into_iter().flatten().collect()
-}
-
 /// A closable, blocking max-priority queue — the serve daemon's work
 /// source. Higher [`priority`](PriorityQueue::push) pops first; ties pop
 /// in arrival order (FIFO), so equal-priority requests are never starved
 /// or reordered. Unlike the fleet path above (whole fleet known up front,
-/// LPT + stealing), serve work arrives over time, so ordering lives in one
-/// shared heap instead of per-worker deques.
+/// sorted once by cost), serve work arrives over time, so ordering lives in
+/// a heap that grows as requests are pushed.
 pub(crate) struct PriorityQueue<T> {
     inner: std::sync::Mutex<QueueInner<T>>,
     cv: std::sync::Condvar,
@@ -511,7 +364,6 @@ impl<T> PriorityQueue<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::super::solve::Task;
     use super::*;
 
     #[test]
@@ -528,25 +380,91 @@ mod tests {
             ..SolveOptions::default()
         };
         assert!(scenario_cost(&tiny, &curve) > scenario_cost(&tiny, &opts));
+        // Costs are computed before the knobs are validated, so absurd step
+        // counts must saturate rather than overflow.
+        for task in [Task::Curve, Task::Pricing] {
+            let huge = SolveOptions {
+                task,
+                steps: usize::MAX,
+                price_steps: usize::MAX,
+                ..SolveOptions::default()
+            };
+            assert_eq!(scenario_cost(&net, &huge), u64::MAX);
+        }
+    }
+
+    #[test]
+    fn claim_order_is_heaviest_first_and_stable() {
+        let opts = SolveOptions::default();
+        let fleet: Vec<Scenario> = [
+            "x, 1.0",
+            "x, x, x",
+            "x, 2x",
+            "nodes=2; 0->1: x; 0->1: 1.0; demand 0->1: 1.0",
+            "x, 1.0 @ 2",
+            "x, 2x, 3x",
+        ]
+        .iter()
+        .map(|s| Scenario::parse(s).unwrap())
+        .collect();
+        let order: Vec<usize> = claim_order(fleet.clone(), &opts)
+            .iter()
+            .map(|(index, _)| *index)
+            .collect();
+        // The network first, then the 3-link pair, then the 2-link trio —
+        // each tie in input order.
+        assert_eq!(order, vec![3, 1, 5, 0, 2, 4]);
+        // Every index is claimed and delivered exactly once.
+        let mut seen = vec![0usize; fleet.len()];
+        let stats = execute(fleet, &opts, 3, None, None, |i, r| {
+            assert!(r.is_ok(), "{r:?}");
+            seen[i] += 1;
+        });
+        assert_eq!(seen, vec![1; 6]);
+        assert_eq!((stats.delivered, stats.steals), (6, 0));
     }
 
     #[test]
     fn lpt_seeding_balances_skew() {
-        // One huge job + 7 tiny on 2 workers: the huge job must sit alone.
-        let jobs: Vec<Job> = (0..8)
-            .map(|i| Job {
-                index: i,
-                scenario: Scenario::parse("x, 1.0").unwrap(),
-                cost: if i == 0 { 1000 } else { 1 },
-            })
-            .collect();
-        let queues = seed_queues(jobs, 2);
-        let loads: Vec<u64> = queues
-            .iter()
-            .map(|q| q.lock().iter().map(|j| j.cost).sum())
-            .collect();
-        assert!(loads.contains(&1000), "{loads:?}");
-        assert!(loads.contains(&7), "{loads:?}");
+        // One huge job (last in input order) + 7 tiny on 2 workers. Claiming
+        // heaviest first from one shared index is list scheduling in LPT
+        // order: replay it on the cost model, and the huge job must sit alone.
+        let opts = SolveOptions::default();
+        let mut fleet = vec![Scenario::parse("x, 1.0").unwrap(); 7];
+        fleet.push(Scenario::parse(&vec!["x"; 64].join(", ")).unwrap());
+        let (huge, tiny) = (
+            scenario_cost(&fleet[7], &opts),
+            scenario_cost(&fleet[0], &opts),
+        );
+        assert!(huge > 7 * tiny, "{huge} vs {tiny}");
+        let order = claim_order(fleet.clone(), &opts);
+        assert_eq!(order[0].0, 7, "the huge job is claimed first");
+        // Each next position goes to whichever worker frees up first.
+        let mut loads = [0u64; 2];
+        for (index, _) in &order {
+            let w = if loads[0] <= loads[1] { 0 } else { 1 };
+            loads[w] += scenario_cost(&fleet[*index], &opts);
+        }
+        assert!(loads.contains(&huge), "{loads:?}");
+        assert!(loads.contains(&(7 * tiny)), "{loads:?}");
+    }
+
+    #[test]
+    fn stealing_drains_a_lopsided_queue() {
+        // A lopsided fleet: one worker sits on the heavy network while the
+        // other must drain every cheap job through the shared index.
+        let opts = SolveOptions::default();
+        let mut fleet = vec![Scenario::parse("x, 1.0").unwrap(); 9];
+        fleet.push(
+            Scenario::parse("nodes=3; 0->1: x; 1->2: x; 0->2: 1.0; demand 0->2: 1.0").unwrap(),
+        );
+        let mut seen = vec![0usize; fleet.len()];
+        let stats = execute(fleet, &opts, 2, None, None, |i, r| {
+            assert!(r.is_ok(), "{r:?}");
+            seen[i] += 1;
+        });
+        assert_eq!(seen, vec![1; 10]);
+        assert_eq!((stats.delivered, stats.steals), (10, 0));
     }
 
     #[test]
@@ -584,34 +502,5 @@ mod tests {
         q.close();
         let got = consumer.join().unwrap();
         assert_eq!(got.iter().sum::<u32>(), 30);
-    }
-
-    #[test]
-    fn stealing_drains_a_lopsided_queue() {
-        let jobs: Vec<Job> = (0..10)
-            .map(|i| Job {
-                index: i,
-                scenario: Scenario::parse("x, 1.0").unwrap(),
-                cost: 1,
-            })
-            .collect();
-        // All jobs on queue 0; worker 1 must steal to make progress.
-        let queues: Vec<Mutex<VecDeque<Job>>> = vec![
-            Mutex::new(jobs.into_iter().collect()),
-            Mutex::new(VecDeque::new()),
-        ];
-        let steals = AtomicU64::new(0);
-        let mut got = 0;
-        while take_job(1, &queues, &steals).is_some() {
-            got += 1;
-        }
-        assert!(got >= 5, "worker 1 took {got} jobs");
-        assert!(steals.load(Ordering::Relaxed) >= 5);
-        // Worker 0 still drains the rest.
-        let mut rest = 0;
-        while take_job(0, &queues, &steals).is_some() {
-            rest += 1;
-        }
-        assert_eq!(got + rest, 10);
     }
 }

@@ -17,7 +17,7 @@
 //! * [`Report`] — the typed result, with hand-rolled JSON/CSV/text
 //!   serializers (offline-safe, no serde);
 //! * [`SoptError`] — the single error enum behind every fallible path;
-//! * [`engine`] — the streaming, work-stealing, memoizing fleet runner
+//! * [`engine`] — the streaming, memoizing fleet runner
 //!   ([`Engine`]), with [`batch`] kept as its input-ordered, buffered
 //!   compatibility wrapper.
 //!

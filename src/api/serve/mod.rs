@@ -2,7 +2,7 @@
 //! [`Request`]/[`Response`] envelope.
 //!
 //! The engine (PR 4) solves a *fleet*: the whole workload is known up
-//! front, so scheduling is LPT seeding plus work stealing. A daemon's
+//! front, so it is sorted once, heaviest job first. A daemon's
 //! workload arrives over time, with per-request priorities and deadlines,
 //! so this module adds the missing half: a [`Server`] that owns a warm
 //! [`SolveCache`] (optionally disk-backed, so warmth survives restarts),
@@ -216,8 +216,7 @@ impl Server {
     /// The server's cumulative [`EngineStats`]: request counts and
     /// report-table traffic since construction, profile-table and
     /// disk-hit deltas against the cache's state at construction.
-    /// `steals` is always 0 — serve scheduling is a shared priority
-    /// queue, not per-worker deques.
+    /// `steals` is always 0, as on every engine path.
     pub fn stats(&self) -> EngineStats {
         let after = self.cache.counters();
         EngineStats {

@@ -100,7 +100,8 @@ pub struct SolveOptions {
     pub tolerance: f64,
     /// Leader portion for [`Task::Llf`]; curve crossover checks ignore it.
     pub alpha: Option<f64>,
-    /// Curve sample count: α = 0, 1/steps, …, 1. Default 10.
+    /// Curve sample count: α = 0, 1/steps, …, 1. Default 10, at most
+    /// 100 000.
     pub steps: usize,
     /// Iteration cap for iterative solves. Default 2000.
     pub max_iters: usize,
@@ -109,7 +110,8 @@ pub struct SolveOptions {
     /// [`CurveStrategy::Strong`].
     pub strategy: CurveStrategy,
     /// Grid resolution of each firm's best-response price search
-    /// ([`Task::Pricing`], non-affine parallel instances). Default 50.
+    /// ([`Task::Pricing`], non-affine parallel instances). Default 50, at
+    /// most 100 000.
     pub price_steps: usize,
     /// Round budget for pricing best-response dynamics. Default 200.
     pub price_rounds: usize,
@@ -136,6 +138,11 @@ impl Default for SolveOptions {
     }
 }
 
+/// Largest accepted `steps` / `price_steps`. Both size per-sample
+/// allocations, so an unchecked request value (one serve line) could
+/// otherwise abort the process on allocation failure.
+const MAX_STEPS: usize = 100_000;
+
 impl SolveOptions {
     fn validate(&self) -> Result<(), SoptError> {
         if !(self.tolerance.is_finite() && self.tolerance > 0.0) {
@@ -152,6 +159,13 @@ impl SolveOptions {
                 reason: "must be ≥ 1",
             });
         }
+        if self.steps > MAX_STEPS {
+            return Err(SoptError::InvalidParameter {
+                name: "steps",
+                value: self.steps as f64,
+                reason: "must be ≤ 100000",
+            });
+        }
         if self.max_iters == 0 {
             return Err(SoptError::InvalidParameter {
                 name: "max_iters",
@@ -159,11 +173,11 @@ impl SolveOptions {
                 reason: "must be ≥ 1",
             });
         }
-        if self.price_steps < 2 {
+        if !(2..=MAX_STEPS).contains(&self.price_steps) {
             return Err(SoptError::InvalidParameter {
                 name: "price_steps",
                 value: self.price_steps as f64,
-                reason: "must be ≥ 2",
+                reason: "must lie in [2, 100000]",
             });
         }
         if self.price_rounds == 0 {
@@ -498,6 +512,24 @@ mod tests {
         assert!(matches!(
             bad.run().unwrap_err(),
             SoptError::InvalidParameter { name: "steps", .. }
+        ));
+        // Step counts size allocations: oversized ones are rejected before
+        // any solve work.
+        let bad = Scenario::parse("x, 1.0").unwrap().solve().task(Task::Curve);
+        assert!(matches!(
+            bad.steps(MAX_STEPS + 1).run().unwrap_err(),
+            SoptError::InvalidParameter { name: "steps", .. }
+        ));
+        let bad = Scenario::parse("x, 1.0")
+            .unwrap()
+            .solve()
+            .task(Task::Pricing);
+        assert!(matches!(
+            bad.price_steps(MAX_STEPS + 1).run().unwrap_err(),
+            SoptError::InvalidParameter {
+                name: "price_steps",
+                ..
+            }
         ));
         let bad = Scenario::parse("x, 1.0")
             .unwrap()

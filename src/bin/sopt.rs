@@ -91,13 +91,14 @@ options:
   --format text|json|csv                    output format (default text)
   --rate R                                  override the routed rate
   --alpha A                                 Leader portion (llf)
-  --steps N                                 curve samples (default 10)
+  --steps N                                 curve samples (default 10,
+                                            at most 100000)
   --strategy strong|weak                    k-commodity curve portion split
                                             (default strong)
   --tolerance E                             solver convergence target
   --max-iters K                             solver iteration cap
   --price-steps N                           pricing candidate/grid resolution
-                                            (default 50)
+                                            (default 50, at most 100000)
   --price-rounds K                          pricing best-response round cap
                                             (default 200)
   --aon auto|sequential|grouped|parallel    multi-commodity all-or-nothing
@@ -488,7 +489,7 @@ fn run() -> Result<(), String> {
                 eprintln!(
                     "engine: {} scenarios, {} delivered, cache {}/{} hits, \
                      eq-profiles {}/{} hits, net-profiles {}/{} hits, \
-                     {} evictions, {} steals",
+                     {} evictions",
                     stats.scenarios,
                     stats.delivered,
                     stats.cache_hits,
@@ -498,7 +499,6 @@ fn run() -> Result<(), String> {
                     stats.net_profile_hits,
                     stats.net_profile_hits + stats.net_profile_misses,
                     stats.profile_evictions + stats.report_evictions,
-                    stats.steals
                 );
                 let snap = server.metrics();
                 if let Some(lat) = snap.phase("solve_latency") {

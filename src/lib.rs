@@ -13,8 +13,8 @@
 //!
 //! * [`api`] — `Scenario` (all three instance classes), the builder-style
 //!   `Solve` session, typed `Report`s with JSON/CSV/text serializers, the
-//!   single `SoptError` enum, and the streaming, work-stealing, memoizing
-//!   fleet `engine` (with `batch` as its buffered compatibility wrapper);
+//!   single `SoptError` enum, and the streaming, memoizing fleet `engine`
+//!   (with `batch` as its buffered compatibility wrapper);
 //! * [`fleet`] — deterministic fleet generation from the random instance
 //!   families (the `sopt gen` backend);
 //! * [`spec`] — the text spec language: parallel-links lists (`"x, 1.0"`)

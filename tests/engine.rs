@@ -6,7 +6,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use stackopt::api::engine::run_chunked_reference;
 use stackopt::api::{
     parse_batch_file, Batch, Engine, Report, Scenario, SolveCache, SoptError, Task,
 };
@@ -60,25 +59,29 @@ fn engine_matches_sequential_solves_on_uniform_fleets() {
 
 #[test]
 fn engine_matches_sequential_solves_on_skewed_fleets() {
-    let fleet = skewed_fleet(16);
-    let expected = rendered(&sequential(&fleet, Task::Beta));
-    for threads in [1, 2, 8] {
-        let got = Engine::new(fleet.clone())
-            .task(Task::Beta)
-            .threads(threads)
-            .run();
-        assert_eq!(rendered(&got), expected, "threads = {threads}");
+    // The heavy network first in input order, and last: the scheduler
+    // claims it first either way, but results must land in its input slot.
+    let mut heavy_last = uniform_fleet(16);
+    heavy_last.push(Scenario::from(random_layered_network(3, 4, 2.0, 5)));
+    for fleet in [skewed_fleet(16), heavy_last] {
+        let expected = rendered(&sequential(&fleet, Task::Beta));
+        for threads in [1, 2, 8] {
+            let got = Engine::new(fleet.clone())
+                .task(Task::Beta)
+                .threads(threads)
+                .run();
+            assert_eq!(rendered(&got), expected, "threads = {threads}");
+        }
     }
 }
 
 #[test]
-fn engine_matches_the_chunked_reference_and_batch_wrapper() {
+fn engine_matches_the_sequential_oracle_and_batch_wrapper() {
     let fleet = skewed_fleet(12);
     let engine = rendered(&Engine::new(fleet.clone()).threads(4).run());
     let batch = rendered(&Batch::new(fleet.clone()).threads(4).run());
-    let chunked = rendered(&run_chunked_reference(fleet, &Default::default(), 4));
     assert_eq!(engine, batch);
-    assert_eq!(engine, chunked);
+    assert_eq!(engine, rendered(&sequential(&fleet, Task::Beta)));
 }
 
 proptest! {

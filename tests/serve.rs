@@ -328,6 +328,33 @@ fn expired_deadlines_drop_exactly_once_with_a_typed_response() {
     assert!(matches!(lenient.handle(doomed).outcome, Outcome::Ok(_)));
 }
 
+#[test]
+fn oversized_step_counts_get_a_typed_error_and_the_daemon_answers_on() {
+    // `steps` sizes the curve's α grid: unbounded, the first line aborts
+    // the process on allocation failure and the later ids go unanswered.
+    let input = "{\"v\": 1, \"id\": 1, \"kind\": \"solve\", \"spec\": \"x, 1.0\", \
+                 \"task\": \"curve\", \"steps\": 1000000000000}\n\
+                 {\"v\": 1, \"id\": 2, \"kind\": \"solve\", \"spec\": \"x, 1.0\", \
+                 \"task\": \"pricing\", \"price_steps\": 1000000000000}\n\
+                 {\"v\": 1, \"id\": 3, \"kind\": \"solve\", \"spec\": \"x, 1.0\"}\n";
+    let server = EngineBuilder::new().threads(1).server().unwrap();
+    let mut out = Vec::new();
+    server.serve(input.as_bytes(), &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "{out}");
+    for (line, (id, knob)) in lines.iter().zip([(1, "steps"), (2, "price_steps")]) {
+        let resp = format!("{{\"v\": 1, \"id\": {id}, \"status\": \"err\"");
+        assert!(line.starts_with(&resp), "{line}");
+        assert!(line.contains(&format!("invalid {knob}")), "{line}");
+    }
+    assert!(
+        lines[2].starts_with("{\"v\": 1, \"id\": 3, \"status\": \"ok\""),
+        "{}",
+        lines[2]
+    );
+}
+
 /// Deterministic xorshift, as in `spec_roundtrip.rs` — the vendored
 /// proptest stub favours scalar strategies, so each case derives a whole
 /// request from one seed.
