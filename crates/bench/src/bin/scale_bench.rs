@@ -2,22 +2,17 @@
 //! (`BENCH_scale.json`; first CLI argument overrides the path, `--full`
 //! adds the ~10⁵-edge grid to the CI-sized pair).
 //!
-//! For each deterministic city grid (`try_grid_city`) it solves the
-//! Wardrop assignment twice with the *same* solver under two option sets:
+//! For each deterministic city grid (`try_grid_city`) it times the Wardrop
+//! assignment under `FwOptions::default()` — struct-of-arrays latency lanes
+//! plus target-aware (early-exit / bidirectional) shortest paths, the only
+//! configuration the solver has.
 //!
-//! * **baseline** — `batch: false, sp_mode: Full`: per-edge scalar latency
-//!   dispatch and full-sweep Dijkstra, the solver exactly as it was before
-//!   the SoA/targeted-search work;
-//! * **batched** — `FwOptions::default()`: struct-of-arrays latency lanes
-//!   plus target-aware (early-exit / bidirectional) shortest paths.
-//!
-//! Recorded per grid: Frank–Wolfe wall seconds and seconds/iteration for
-//! both variants, the wall-time speedup, the max per-edge flow deviation
-//! between the two converged flows, and a shortest-path microbenchmark
-//! (µs/query and settled nodes for full vs. auto traversal of the
-//! corner-to-corner query). The file also carries an engine throughput
-//! number (scenarios/second over a small grid fleet) and the process's
-//! peak RSS from `/proc/self/status`.
+//! Recorded per grid: Frank–Wolfe wall seconds, iterations and
+//! seconds/iteration, and a shortest-path microbenchmark (µs/query and
+//! settled nodes for full vs. auto traversal of the corner-to-corner
+//! query). The file also carries an engine throughput number
+//! (scenarios/second over a small grid fleet) and the process's peak RSS
+//! from `/proc/self/status`.
 //!
 //! A multi-commodity arm measures the all-or-nothing phase on its own: a
 //! 10⁴-edge grid OD matrix with many commodities over few origins, timing
@@ -25,11 +20,9 @@
 //! one-to-many tree (`AonMode::Grouped`) and its threaded fan-out
 //! (`AonMode::Parallel`) at free-flow costs.
 //!
-//! Acceptance bars (asserted here, checked in CI):
-//! * batched and baseline flows agree within `1e-6` per edge everywhere;
-//! * ≥ 2× wall-time speedup on every grid with ≥ 10⁴ edges;
-//! * the grouped AON phase is ≥ 2× faster than the sequential loop at
-//!   ≥ 64 commodities over ≤ 16 origins, per-commodity flows within `1e-6`.
+//! Acceptance bar (asserted here, checked in CI): the grouped AON phase is
+//! ≥ 2× faster than the sequential loop at ≥ 64 commodities over ≤ 16
+//! origins, per-commodity flows within `1e-6`.
 
 use std::time::Instant;
 
@@ -39,8 +32,8 @@ use sopt_network::csr::{Csr, RevCsr, SpMode, SpPool, SpWorkspace};
 use sopt_network::graph::NodeId;
 use sopt_network::instance::NetworkInstance;
 use sopt_network::EdgeFlow;
-use sopt_solver::aon::{aon_assign_targets, aon_st_into};
-use sopt_solver::frank_wolfe::{try_solve_assignment, FwOptions, FwResult};
+use sopt_solver::aon::aon_assign_targets;
+use sopt_solver::frank_wolfe::{try_solve_assignment, FwOptions};
 use sopt_solver::{AonMode, CommodityGroups, CostModel};
 use stackopt::api::{parse_batch_file, Engine};
 use stackopt::fleet::{generate_fleet, Family};
@@ -49,17 +42,8 @@ use stackopt::fleet::{generate_fleet, Family};
 const SIDES_CI: [usize; 2] = [16, 51];
 /// Added by `--full`: 100 488 edges.
 const SIDE_FULL: usize = 159;
-/// Per-edge flow-parity bar between the baseline and batched solves.
+/// Per-commodity flow-parity bar between the AON strategies.
 const FLOW_TOL: f64 = 1e-6;
-/// Wall-time bar on grids with ≥ `SPEEDUP_MIN_EDGES` edges.
-const MIN_SPEEDUP: f64 = 2.0;
-const SPEEDUP_MIN_EDGES: usize = 10_000;
-/// Looser bar for the `--full`-only 100 488-edge grid: restructuring the
-/// AON step around `aon_assign_targets` (origin grouping) also sped up
-/// the *scalar* arm's assignment loop, compressing the batched-vs-scalar
-/// ratio at this size from ~2.2× to ~1.8× (absolute batched wall time is
-/// unchanged-to-better; the compression is the baseline getting faster).
-const FULL_MIN_SPEEDUP: f64 = 1.5;
 /// Shortest-path microbenchmark repetitions.
 const SP_REPS: usize = 20;
 /// AON-phase arm: grid side, commodity count, repetitions, speedup bar.
@@ -70,38 +54,23 @@ const AON_K: usize = 256;
 const AON_REPS: usize = 5;
 const AON_MIN_SPEEDUP: f64 = 2.0;
 
-/// The historical solver: scalar latency dispatch, full-sweep Dijkstra.
-fn baseline_opts() -> FwOptions {
-    FwOptions {
-        batch: false,
-        sp_mode: SpMode::Full,
-        ..FwOptions::default()
-    }
-}
-
 struct SolveNumbers {
     secs: f64,
     iters: usize,
-    objective: f64,
 }
 
-fn solve_timed(inst: &NetworkInstance, opts: &FwOptions, reps: usize) -> (SolveNumbers, FwResult) {
+/// Best-of-`reps` wall time of the default Wardrop solve.
+fn solve_timed(inst: &NetworkInstance, reps: usize) -> SolveNumbers {
     let mut secs = f64::INFINITY;
-    let mut result = None;
+    let mut iters = 0;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
-        result = Some(try_solve_assignment(inst, CostModel::Wardrop, opts).expect("grid solve"));
+        let r = try_solve_assignment(inst, CostModel::Wardrop, &FwOptions::default())
+            .expect("grid solve");
         secs = secs.min(t.elapsed().as_secs_f64());
+        iters = r.iterations;
     }
-    let r = result.unwrap();
-    (
-        SolveNumbers {
-            secs,
-            iters: r.iterations,
-            objective: r.objective,
-        },
-        r,
-    )
+    SolveNumbers { secs, iters }
 }
 
 struct SpNumbers {
@@ -144,9 +113,7 @@ struct GridCase {
     side: usize,
     nodes: usize,
     edges: usize,
-    base: SolveNumbers,
-    fast: SolveNumbers,
-    max_flow_dev: f64,
+    solve: SolveNumbers,
     sp: SpNumbers,
 }
 
@@ -155,22 +122,11 @@ fn measure(side: usize) -> GridCase {
     let inst = try_grid_city(side, 1.0, side as u64).expect("bench grid");
     // Best-of timing; big grids get one rep to keep CI affordable.
     let reps = if edges >= 50_000 { 1 } else { 3 };
-    let (base, base_r) = solve_timed(&inst, &baseline_opts(), reps);
-    let (fast, fast_r) = solve_timed(&inst, &FwOptions::default(), reps);
-    let max_flow_dev = base_r
-        .flow
-        .0
-        .iter()
-        .zip(fast_r.flow.0.iter())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
     GridCase {
         side,
         nodes,
         edges,
-        base,
-        fast,
-        max_flow_dev,
+        solve: solve_timed(&inst, reps),
         sp: sp_micro(&inst),
     }
 }
@@ -202,30 +158,6 @@ fn aon_micro() -> AonCase {
     let mut groups = CommodityGroups::new();
     groups.rebuild(&demands);
 
-    // The PR-9 hot loop: one target-aware st query per commodity.
-    let mut sp = SpWorkspace::new();
-    let mut seq = vec![EdgeFlow::zeros(m); demands.len()];
-    let mut sequential_us = f64::INFINITY;
-    for _ in 0..AON_REPS {
-        let t = Instant::now();
-        for (ci, &(s, snk, rate)) in demands.iter().enumerate() {
-            seq[ci].0.fill(0.0);
-            aon_st_into(
-                &csr,
-                Some(&rcsr),
-                &mut sp,
-                SpMode::Auto,
-                &costs,
-                s,
-                snk,
-                rate,
-                &mut seq[ci].0,
-            )
-            .expect("grid sink reachable");
-        }
-        sequential_us = sequential_us.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-
     let run_mode = |mode: AonMode| -> (f64, Vec<EdgeFlow>) {
         let mut ws = SpWorkspace::new();
         let mut pool = SpPool::new();
@@ -239,7 +171,6 @@ fn aon_micro() -> AonCase {
                 &mut ws,
                 &mut pool,
                 &groups,
-                SpMode::Auto,
                 mode,
                 &costs,
                 &demands,
@@ -250,6 +181,9 @@ fn aon_micro() -> AonCase {
         }
         (best, ys)
     };
+    // The historical hot loop (one target-aware query per commodity)
+    // against the origin-grouped trees.
+    let (sequential_us, seq) = run_mode(AonMode::Sequential);
     let (grouped_us, grouped_ys) = run_mode(AonMode::Grouped);
     let (parallel_us, parallel_ys) = run_mode(AonMode::Parallel);
 
@@ -310,26 +244,17 @@ fn sci(v: f64) -> String {
 }
 
 fn case_json(c: &GridCase) -> String {
-    let speedup = c.base.secs / c.fast.secs.max(1e-12);
     format!(
         "{{\"side\": {}, \"nodes\": {}, \"edges\": {}, \
-         \"baseline\": {{\"secs\": {}, \"iters\": {}, \"secs_per_iter\": {}}}, \
          \"batched\": {{\"secs\": {}, \"iters\": {}, \"secs_per_iter\": {}}}, \
-         \"speedup\": {}, \"max_flow_dev\": {}, \"objective_dev\": {}, \
          \"sp\": {{\"full_us\": {}, \"auto_us\": {}, \
          \"full_settled\": {}, \"auto_settled\": {}}}}}",
         c.side,
         c.nodes,
         c.edges,
-        num(c.base.secs),
-        c.base.iters,
-        sci(c.base.secs / c.base.iters.max(1) as f64),
-        num(c.fast.secs),
-        c.fast.iters,
-        sci(c.fast.secs / c.fast.iters.max(1) as f64),
-        num(speedup),
-        sci(c.max_flow_dev),
-        sci((c.base.objective - c.fast.objective).abs()),
+        num(c.solve.secs),
+        c.solve.iters,
+        sci(c.solve.secs / c.solve.iters.max(1) as f64),
         num(c.sp.full_us),
         num(c.sp.auto_us),
         c.sp.full_settled,
@@ -357,13 +282,8 @@ fn main() {
         .map(|&s| {
             let c = measure(s);
             eprintln!(
-                "side {}: {} edges, baseline {:.3}s, batched {:.3}s ({:.2}x), flow dev {:.2e}",
-                c.side,
-                c.edges,
-                c.base.secs,
-                c.fast.secs,
-                c.base.secs / c.fast.secs.max(1e-12),
-                c.max_flow_dev
+                "side {}: {} edges, {:.3}s over {} iterations",
+                c.side, c.edges, c.solve.secs, c.solve.iters
             );
             c
         })
@@ -417,26 +337,6 @@ fn main() {
     print!("{json}");
     eprintln!("wrote {path}");
 
-    for c in &cases {
-        assert!(
-            c.max_flow_dev <= FLOW_TOL,
-            "side {}: batched flow deviates from baseline by {:.3e} > {FLOW_TOL:.1e}",
-            c.side,
-            c.max_flow_dev
-        );
-        let speedup = c.base.secs / c.fast.secs.max(1e-12);
-        let bar = if c.side >= SIDE_FULL {
-            FULL_MIN_SPEEDUP
-        } else {
-            MIN_SPEEDUP
-        };
-        assert!(
-            c.edges < SPEEDUP_MIN_EDGES || speedup >= bar,
-            "side {}: {} edges sped up only {speedup:.2}x < {bar}x",
-            c.side,
-            c.edges
-        );
-    }
     assert!(
         aon.max_flow_dev <= FLOW_TOL,
         "aon: grouped/parallel flows deviate from sequential by {:.3e} > {FLOW_TOL:.1e}",

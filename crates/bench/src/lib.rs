@@ -6,8 +6,8 @@
 //! them, and `cargo run -p sopt-bench --bin experiments --release` prints
 //! the full report recorded in EXPERIMENTS.md.
 //!
-//! Timing benchmarks (the "polynomial time" claims, E14, plus ablations of
-//! design choices) live under `benches/` as criterion targets.
+//! Timing baselines live in the `*_bench` binaries under `src/bin`, each
+//! writing a checked-in `BENCH_*.json` and asserting its own bars.
 
 pub mod exps;
 pub mod table;

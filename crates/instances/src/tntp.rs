@@ -26,7 +26,7 @@
 use std::io::BufRead;
 
 use sopt_latency::LatencyFn;
-use sopt_network::graph::{DiGraph, NodeId};
+use sopt_network::graph::{DiGraph, NodeId, MAX_PARSED_NODES};
 use sopt_network::instance::{Commodity, MultiCommodityInstance, NetworkInstance};
 
 /// A parse failure, pointing at the offending 1-based line of the input.
@@ -324,6 +324,12 @@ pub fn parse_tntp_net_reader<R: BufRead>(
         .ok_or(TntpError::MissingMetadata {
             key: "NUMBER OF NODES",
         })?;
+    if n > MAX_PARSED_NODES {
+        return Err(TntpError::Malformed {
+            line: 0,
+            reason: format!("<NUMBER OF NODES> {n} exceeds the limit of {MAX_PARSED_NODES}"),
+        });
+    }
     let links = scanner.meta_usize("NUMBER OF LINKS")?;
     let mut g = DiGraph::with_nodes(n);
     let mut lats = Vec::new();
@@ -527,6 +533,14 @@ mod tests {
                 key: "NUMBER OF NODES"
             }
         );
+        // An absurd node count is refused before the graph is allocated.
+        let huge = "<NUMBER OF NODES> 100000000000\n<END OF METADATA>\n1 2 10 1 1 0.15 4 ;\n";
+        match parse_tntp_net(huge).unwrap_err() {
+            TntpError::Malformed { reason, .. } => {
+                assert!(reason.contains("exceeds the limit"), "{reason}")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]

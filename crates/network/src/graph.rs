@@ -40,6 +40,12 @@ impl fmt::Display for EdgeId {
     }
 }
 
+/// The largest node count a parsed input (a network spec, a TNTP file)
+/// may declare. Parsers reject larger counts before allocating the graph,
+/// so one absurd header cannot abort the process on allocation failure.
+/// About forty times the 25,281 nodes of the largest benchmark grid.
+pub const MAX_PARSED_NODES: usize = 1_000_000;
+
 /// A directed edge `from → to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Edge {

@@ -24,7 +24,7 @@ pub mod spath;
 
 pub use csr::{Csr, RevCsr, SpMode, SpWorkspace};
 pub use flow::EdgeFlow;
-pub use graph::{DiGraph, Edge, EdgeId, NodeId};
+pub use graph::{DiGraph, Edge, EdgeId, NodeId, MAX_PARSED_NODES};
 pub use instance::{Commodity, MultiCommodityInstance, NetworkInstance};
 pub use path::Path;
 

@@ -1,17 +1,17 @@
 //! All-or-nothing assignment: the Frank–Wolfe linearised subproblem.
 //!
 //! Single-commodity callers route one `s→t` query per call
-//! ([`aon_st_into`]). The multi-commodity hot path goes through
-//! [`aon_assign_targets`], which groups commodities by origin
-//! ([`CommodityGroups`]) so each origin costs one one-to-many Dijkstra
-//! instead of one query per OD pair, and optionally fans the origin groups
-//! out across scoped threads ([`AonMode`]).
+//! ([`aon_st_into`]), early-exit or bidirectional under [`SpMode::Auto`].
+//! The multi-commodity hot path goes through [`aon_assign_targets`], which
+//! groups commodities by origin ([`CommodityGroups`]) so each origin costs
+//! one one-to-many Dijkstra instead of one query per OD pair, and
+//! optionally fans the origin groups out across scoped threads
+//! ([`AonMode`]). [`aon_into`], the full-sweep form, is the oracle the
+//! tests check the targeted queries against.
 
 use sopt_network::csr::{Csr, RevCsr, SpMode, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
-use sopt_network::spath::{dijkstra, ShortestPaths};
-use sopt_network::DiGraph;
 
 use crate::error::SolverError;
 
@@ -172,68 +172,40 @@ fn resolve_aon(mode: AonMode, groups: &CommodityGroups, num_nodes: usize) -> Aon
     }
 }
 
-/// [`SpWorkspace::shortest_to`] wrapped in the solver's observability
+/// Runs one shortest-path query on `sp` under the solver's observability
 /// surface: the `sp_query` span and the `sp_settled_nodes` counter (both
-/// free when the global recorder is disabled). All solver shortest-path
-/// queries route through here so the metrics cover every solve path.
-pub(crate) fn timed_shortest_to(
-    csr: &Csr,
-    rcsr: Option<&RevCsr>,
-    sp: &mut SpWorkspace,
-    mode: SpMode,
-    edge_costs: &[f64],
-    s: NodeId,
-    t: NodeId,
-) -> Option<f64> {
+/// free when the global recorder is disabled). All solver queries route
+/// through here so the metrics cover every solve path.
+fn timed_query<R>(sp: &mut SpWorkspace, query: impl FnOnce(&mut SpWorkspace) -> R) -> R {
     let rec = sopt_obs::global();
     let started = rec.is_enabled().then(std::time::Instant::now);
-    let dist = sp.shortest_to(csr, rcsr, edge_costs, s, t, mode);
+    let out = query(sp);
     if let Some(at) = started {
         rec.record_duration(sopt_obs::Phase::SpQuery, at.elapsed().as_micros() as u64);
         rec.add(sopt_obs::Counter::SpSettledNodes, sp.settled_nodes() as u64);
     }
-    dist
+    out
 }
 
-/// Route the whole `rate` along one shortest `s→t` path under `edge_costs`.
-///
-/// Returns the assignment and the shortest-path tree (reused by callers for
-/// gap computation), or [`SolverError::UnreachableSink`] when `t` is cut
-/// off from `s`.
-pub fn try_all_or_nothing(
-    g: &DiGraph,
+/// [`SpWorkspace::shortest_to`] in [`SpMode::Auto`], timed (see
+/// `timed_query`).
+pub(crate) fn timed_shortest_to(
+    csr: &Csr,
+    rcsr: Option<&RevCsr>,
+    sp: &mut SpWorkspace,
     edge_costs: &[f64],
     s: NodeId,
     t: NodeId,
-    rate: f64,
-) -> Result<(EdgeFlow, ShortestPaths), SolverError> {
-    let sp = dijkstra(g, edge_costs, s);
-    let path = sp.path_to(g, t).ok_or(SolverError::UnreachableSink {
-        commodity: 0,
-        source: s,
-        sink: t,
-    })?;
-    let mut flow = EdgeFlow::zeros(g.num_edges());
-    flow.add_path(&path, rate);
-    Ok((flow, sp))
+) -> Option<f64> {
+    timed_query(sp, |sp| {
+        sp.shortest_to(csr, rcsr, edge_costs, s, t, SpMode::Auto)
+    })
 }
 
-/// Panicking shim over [`try_all_or_nothing`] for internal callers that
-/// pre-validate reachability.
-pub fn all_or_nothing(
-    g: &DiGraph,
-    edge_costs: &[f64],
-    s: NodeId,
-    t: NodeId,
-    rate: f64,
-) -> (EdgeFlow, ShortestPaths) {
-    try_all_or_nothing(g, edge_costs, s, t, rate).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Allocation-free all-or-nothing over a prebuilt [`Csr`] view: runs
-/// Dijkstra in `sp` and **adds** `rate` along one shortest `s→t` path into
-/// `out` (callers zero `out` when they want a pure assignment). The hot
-/// path of every Frank–Wolfe iteration.
+/// Allocation-free all-or-nothing over a prebuilt [`Csr`] view: runs a
+/// full-sweep Dijkstra in `sp` and **adds** `rate` along one shortest
+/// `s→t` path into `out` (callers zero `out` when they want a pure
+/// assignment). The reference [`aon_st_into`] must reproduce.
 pub fn aon_into(
     csr: &Csr,
     sp: &mut SpWorkspace,
@@ -256,23 +228,23 @@ pub fn aon_into(
     }
 }
 
-/// Target-aware [`aon_into`]: the shortest-path query runs in `mode`
-/// (early-exit or bidirectional under [`SpMode::Auto`]), settling only the
-/// nodes the single `s→t` answer needs instead of the whole graph.
-/// [`SpMode::Full`] reproduces `aon_into` exactly (full sweep + walk).
+/// Target-aware [`aon_into`]: the shortest-path query runs in
+/// [`SpMode::Auto`] (early-exit, or bidirectional when `rcsr` is supplied
+/// on a large enough graph), settling only the nodes the single `s→t`
+/// answer needs instead of the whole graph. The hot path of every
+/// single-commodity Frank–Wolfe iteration.
 #[allow(clippy::too_many_arguments)]
 pub fn aon_st_into(
     csr: &Csr,
     rcsr: Option<&RevCsr>,
     sp: &mut SpWorkspace,
-    mode: SpMode,
     edge_costs: &[f64],
     s: NodeId,
     t: NodeId,
     rate: f64,
     out: &mut [f64],
 ) -> Result<(), SolverError> {
-    if timed_shortest_to(csr, rcsr, sp, mode, edge_costs, s, t).is_none() {
+    if timed_shortest_to(csr, rcsr, sp, edge_costs, s, t).is_none() {
         return Err(SolverError::UnreachableSink {
             commodity: 0,
             source: s,
@@ -281,25 +253,6 @@ pub fn aon_st_into(
     }
     sp.walk_st_path(csr, rcsr, |e| out[e.idx()] += rate);
     Ok(())
-}
-
-/// [`SpWorkspace::shortest_to_many`] under the same observability surface
-/// as [`timed_shortest_to`]: one `sp_query` span per one-to-many sweep.
-fn timed_shortest_to_many(
-    csr: &Csr,
-    sp: &mut SpWorkspace,
-    edge_costs: &[f64],
-    s: NodeId,
-    targets: &[NodeId],
-) -> usize {
-    let rec = sopt_obs::global();
-    let started = rec.is_enabled().then(std::time::Instant::now);
-    let reached = sp.shortest_to_many(csr, edge_costs, s, targets);
-    if let Some(at) = started {
-        rec.record_duration(sopt_obs::Phase::SpQuery, at.elapsed().as_micros() as u64);
-        rec.add(sopt_obs::Counter::SpSettledNodes, sp.settled_nodes() as u64);
-    }
-    reached
 }
 
 /// One origin group's worth of work for the parallel arm: the shared
@@ -362,7 +315,6 @@ pub fn aon_assign_targets(
     sp: &mut SpWorkspace,
     pool: &mut SpPool,
     groups: &CommodityGroups,
-    sp_mode: SpMode,
     aon_mode: AonMode,
     edge_costs: &[f64],
     demands: &[(NodeId, NodeId, f64)],
@@ -385,9 +337,7 @@ pub fn aon_assign_targets(
         AonMode::Auto | AonMode::Sequential => {
             let mut out = Ok(());
             for (ci, &(s, t, r)) in demands.iter().enumerate() {
-                if let Err(e) =
-                    aon_st_into(csr, rcsr, sp, sp_mode, edge_costs, s, t, r, &mut ys[ci].0)
-                {
+                if let Err(e) = aon_st_into(csr, rcsr, sp, edge_costs, s, t, r, &mut ys[ci].0) {
                     out = Err(e.with_commodity(ci));
                     break;
                 }
@@ -401,7 +351,9 @@ pub fn aon_assign_targets(
                 let (source, members) = groups.group(g);
                 targets.clear();
                 targets.extend(members.iter().map(|&ci| demands[ci as usize].1));
-                timed_shortest_to_many(csr, sp, edge_costs, source, &targets);
+                timed_query(sp, |sp| {
+                    sp.shortest_to_many(csr, edge_costs, source, &targets)
+                });
                 for &ci in members {
                     let ci = ci as usize;
                     let (_, t, r) = demands[ci];
@@ -513,6 +465,7 @@ fn parallel_groups(
 mod tests {
     use super::*;
     use sopt_network::graph::EdgeId;
+    use sopt_network::DiGraph;
 
     /// Layered graph with two origins, a middle layer, and three sinks;
     /// square-root edge costs keep every path sum distinct, so shortest
@@ -562,7 +515,6 @@ mod tests {
             &mut sp,
             &mut pool,
             &groups,
-            SpMode::Auto,
             mode,
             costs,
             demands,
@@ -643,15 +595,30 @@ mod tests {
         }
     }
 
+    /// Full-sweep all-or-nothing of `rate` from `s` to `t` into a fresh
+    /// flow, through the [`aon_into`] oracle.
+    fn aon_fresh(
+        g: &DiGraph,
+        costs: &[f64],
+        s: NodeId,
+        t: NodeId,
+        rate: f64,
+    ) -> Result<(EdgeFlow, SpWorkspace), SolverError> {
+        let mut sp = SpWorkspace::new();
+        let mut flow = EdgeFlow::zeros(g.num_edges());
+        aon_into(&Csr::new(g), &mut sp, costs, s, t, rate, &mut flow.0)?;
+        Ok((flow, sp))
+    }
+
     #[test]
     fn routes_everything_on_cheapest() {
         let mut g = DiGraph::with_nodes(2);
         let e0 = g.add_edge(NodeId(0), NodeId(1));
         let e1 = g.add_edge(NodeId(0), NodeId(1));
-        let (f, sp) = all_or_nothing(&g, &[2.0, 1.0], NodeId(0), NodeId(1), 3.0);
+        let (f, sp) = aon_fresh(&g, &[2.0, 1.0], NodeId(0), NodeId(1), 3.0).unwrap();
         assert_eq!(f.get(e0), 0.0);
         assert_eq!(f.get(e1), 3.0);
-        assert_eq!(sp.dist[1], 1.0);
+        assert_eq!(sp.dist()[1], 1.0);
     }
 
     #[test]
@@ -660,7 +627,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
         g.add_edge(NodeId(0), NodeId(2));
-        let (f, _) = all_or_nothing(&g, &[1.0, 1.0, 5.0], NodeId(0), NodeId(2), 1.0);
+        let (f, _) = aon_fresh(&g, &[1.0, 1.0, 5.0], NodeId(0), NodeId(2), 1.0).unwrap();
         assert_eq!(f.get(EdgeId(0)), 1.0);
         assert_eq!(f.get(EdgeId(1)), 1.0);
         assert_eq!(f.get(EdgeId(2)), 0.0);
@@ -669,7 +636,7 @@ mod tests {
     #[test]
     fn unreachable_sink_is_typed() {
         let g = DiGraph::with_nodes(2);
-        let err = try_all_or_nothing(&g, &[], NodeId(0), NodeId(1), 1.0).unwrap_err();
+        let err = aon_fresh(&g, &[], NodeId(0), NodeId(1), 1.0).unwrap_err();
         assert_eq!(
             err,
             SolverError::UnreachableSink {
@@ -678,13 +645,6 @@ mod tests {
                 sink: NodeId(1),
             }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "unreachable")]
-    fn unreachable_sink_panics_in_shim() {
-        let g = DiGraph::with_nodes(2);
-        let _ = all_or_nothing(&g, &[], NodeId(0), NodeId(1), 1.0);
     }
 
     #[test]
@@ -723,61 +683,63 @@ mod tests {
 
     #[test]
     fn aon_st_into_matches_full_across_modes() {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(1), NodeId(3));
-        g.add_edge(NodeId(0), NodeId(2));
-        g.add_edge(NodeId(2), NodeId(3));
-        let csr = Csr::new(&g);
-        let rcsr = RevCsr::new(&g);
-        let costs = [1.0, 1.0, 0.5, 0.4];
-        let mut sp = SpWorkspace::new();
-        let mut want = vec![0.0; 4];
-        aon_into(&csr, &mut sp, &costs, NodeId(0), NodeId(3), 2.0, &mut want).unwrap();
-        for mode in [
-            SpMode::Auto,
-            SpMode::Full,
-            SpMode::EarlyExit,
-            SpMode::Bidirectional,
-        ] {
-            for rc in [None, Some(&rcsr)] {
-                let mut out = vec![0.0; 4];
-                aon_st_into(
-                    &csr,
-                    rc,
-                    &mut sp,
-                    mode,
-                    &costs,
-                    NodeId(0),
-                    NodeId(3),
-                    2.0,
-                    &mut out,
-                )
-                .unwrap();
-                assert_eq!(out, want, "{mode:?} rcsr={}", rc.is_some());
+        // A 9×9 grid of right and down edges: 81 nodes, above the size at
+        // which `SpMode::Auto` answers a query bidirectionally when given
+        // a reverse view, so both targeted searches run.
+        const SIDE: u32 = 9;
+        let mut g = DiGraph::with_nodes((SIDE * SIDE) as usize);
+        for r in 0..SIDE {
+            for c in 0..SIDE {
+                let v = NodeId(r * SIDE + c);
+                if c + 1 < SIDE {
+                    g.add_edge(v, NodeId(v.0 + 1));
+                }
+                if r + 1 < SIDE {
+                    g.add_edge(v, NodeId(v.0 + SIDE));
+                }
             }
         }
-        // Unreachable sink stays a typed error in targeted modes.
-        let mut out = vec![0.0; 4];
-        let err = aon_st_into(
-            &csr,
-            Some(&rcsr),
-            &mut sp,
-            SpMode::Auto,
-            &costs,
-            NodeId(3),
-            NodeId(0),
-            1.0,
-            &mut out,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            SolverError::UnreachableSink {
-                commodity: 0,
-                source: NodeId(3),
-                sink: NodeId(0),
-            }
-        );
+        let csr = Csr::new(&g);
+        let rcsr = RevCsr::new(&g);
+        // Distinct irrational-step costs keep the shortest path unique.
+        let costs: Vec<f64> = (0..g.num_edges())
+            .map(|i| 1.0 + (i as f64 * 0.618_033_988_75).fract())
+            .collect();
+        let (s, t) = (NodeId(0), NodeId(SIDE * SIDE - 1));
+        let mut sp = SpWorkspace::new();
+        let mut want = vec![0.0; g.num_edges()];
+        aon_into(&csr, &mut sp, &costs, s, t, 2.0, &mut want).unwrap();
+        assert_eq!(want.iter().filter(|&&f| f == 2.0).count(), 16);
+        // Witness that the reverse view switches the search: the settled
+        // count matches a forced bidirectional query, not an early-exit one.
+        let settled = |sp: &mut SpWorkspace, mode| {
+            sp.shortest_to(&csr, Some(&rcsr), &costs, s, t, mode)
+                .unwrap();
+            sp.settled_nodes()
+        };
+        let bidi = settled(&mut sp, SpMode::Bidirectional);
+        let forward = settled(&mut sp, SpMode::EarlyExit);
+        assert_ne!(bidi, forward);
+        // With or without a reverse view, the targeted query reproduces
+        // the full sweep.
+        for (rc, searched) in [(None, forward), (Some(&rcsr), bidi)] {
+            let mut out = vec![0.0; g.num_edges()];
+            aon_st_into(&csr, rc, &mut sp, &costs, s, t, 2.0, &mut out).unwrap();
+            assert_eq!(sp.settled_nodes(), searched, "rcsr={}", rc.is_some());
+            assert_eq!(out, want, "rcsr={}", rc.is_some());
+        }
+        // Unreachable sink stays a typed error in targeted queries.
+        for rc in [None, Some(&rcsr)] {
+            let mut out = vec![0.0; g.num_edges()];
+            let err = aon_st_into(&csr, rc, &mut sp, &costs, t, s, 1.0, &mut out).unwrap_err();
+            assert_eq!(
+                err,
+                SolverError::UnreachableSink {
+                    commodity: 0,
+                    source: t,
+                    sink: s,
+                }
+            );
+        }
     }
 }

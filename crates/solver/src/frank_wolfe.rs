@@ -7,11 +7,12 @@
 //! * linearised subproblem = all-or-nothing shortest-path assignment
 //!   (Dijkstra with current gradient as edge costs, over a prebuilt CSR
 //!   view — see [`sopt_network::csr`]);
-//! * exact bisection line search along the direction;
-//! * optional conjugate direction (Mitradjieva–Lindberg CFW) — plain FW
-//!   converges sublinearly and stalls around 1e-6 relative gap, CFW reaches
-//!   1e-12 on the paper's nets in tens of iterations
-//!   (`benches/frank_wolfe.rs` measures the gap-vs-iteration ablation);
+//! * exact line search along the direction, over the struct-of-arrays
+//!   [`LatencyBatch`] lanes;
+//! * conjugate directions (Mitradjieva–Lindberg CFW), restarted every 256
+//!   iterations — plain FW converges sublinearly and stalls around 1e-6
+//!   relative gap, CFW reaches 1e-12 on the paper's nets in tens of
+//!   iterations;
 //! * the *relative gap* `Σc·(f−y) / Σc·f` certifies convergence: it bounds
 //!   the objective suboptimality fraction via convexity.
 //!
@@ -34,7 +35,7 @@
 use std::cell::RefCell;
 
 use sopt_latency::{DirPlan, Latency, LatencyBatch, LatencyFn};
-use sopt_network::csr::{Csr, RevCsr, SpMode, SpPool, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
@@ -47,41 +48,16 @@ use crate::line_search::{exact_step_eval, max_step_eval};
 use crate::objective::CostModel;
 
 /// Tuning knobs for the Frank–Wolfe solvers.
+///
+/// Everything else about a solve is fixed: conjugate directions restarted
+/// every 256 iterations, a stall window of `max(64, 4·m)` iterations on `m`
+/// edges, batched latency lanes, and `SpMode::Auto` shortest-path queries.
 #[derive(Clone, Copy, Debug)]
 pub struct FwOptions {
     /// Stop when the relative gap falls below this.
     pub rel_gap: f64,
     /// Hard iteration cap.
     pub max_iters: usize,
-    /// Use conjugate directions (recommended; `false` = textbook FW).
-    pub conjugate: bool,
-    /// Drop the conjugate memory every this many iterations (`0` = never).
-    /// Periodic restarts break the rare zigzag degeneration of CFW near
-    /// kinked optima; 256 is a good default.
-    pub restart_period: usize,
-    /// Hand over to the path polish when the relative gap has not improved
-    /// by ≥1% within this many iterations (`Some(0)` = never). Frank–Wolfe
-    /// converges sublinearly and plateaus orders of magnitude above tight
-    /// targets; the polish converges linearly from the plateau, so burning
-    /// the rest of `max_iters` on a stalled FW loop is pure waste.
-    ///
-    /// `None` (the default) adapts the window to the instance:
-    /// `max(64, 4·m)` for `m` edges — see
-    /// [`FwOptions::effective_stall_window`]. Large graphs make slower
-    /// per-iteration progress, so a fixed window of 64 hands over to the
-    /// polish before the FW phase has delivered a useful start.
-    pub stall_window: Option<usize>,
-    /// Evaluate the O(m) latency sweeps (gradient costs, curvature, line
-    /// search, objective) through the struct-of-arrays
-    /// [`LatencyBatch`] lanes (recommended; `false` = per-edge scalar
-    /// dispatch, the historical path kept as an A/B baseline for
-    /// `scale_bench`).
-    pub batch: bool,
-    /// Shortest-path strategy for the all-or-nothing subproblems and the
-    /// polish columns. [`SpMode::Auto`] picks bidirectional search on
-    /// graphs large enough to pay for it and early-exit Dijkstra
-    /// otherwise; [`SpMode::Full`] is the historical full-sweep path.
-    pub sp_mode: SpMode,
     /// Strategy for the per-iteration multi-commodity all-or-nothing step.
     /// [`AonMode::Auto`] groups commodities by origin (one one-to-many
     /// Dijkstra per distinct source) and fans the groups out across
@@ -97,24 +73,23 @@ impl Default for FwOptions {
         Self {
             rel_gap: 1e-10,
             max_iters: 2_000,
-            conjugate: true,
-            restart_period: 256,
-            stall_window: None,
-            batch: true,
-            sp_mode: SpMode::Auto,
             aon: AonMode::Auto,
         }
     }
 }
 
-impl FwOptions {
-    /// The stall window actually applied to a solve over `num_edges` edges:
-    /// the explicit override when [`FwOptions::stall_window`] is set
-    /// (including `Some(0)` = stall detection off), otherwise the adaptive
-    /// `max(64, 4·num_edges)`.
-    pub fn effective_stall_window(&self, num_edges: usize) -> usize {
-        self.stall_window.unwrap_or_else(|| (4 * num_edges).max(64))
-    }
+/// Drop the conjugate memory every this many iterations: periodic restarts
+/// break the rare zigzag degeneration of CFW near kinked optima.
+const RESTART_PERIOD: usize = 256;
+
+/// Hand over to the path polish when the relative gap has not improved by
+/// ≥1% within this many iterations: `max(64, 4·num_edges)`.
+/// Frank–Wolfe converges sublinearly and plateaus orders of magnitude above
+/// tight targets; the polish converges linearly from the plateau, so burning
+/// the rest of `max_iters` on a stalled FW loop is pure waste. Large graphs
+/// make slower per-iteration progress, so the window grows with them.
+fn stall_window(num_edges: usize) -> usize {
+    (4 * num_edges).max(64)
 }
 
 /// Output of the Frank–Wolfe solvers.
@@ -146,16 +121,14 @@ pub struct FwResult {
 #[derive(Clone, Debug, Default)]
 pub struct FwWorkspace {
     csr: Csr,
-    /// Reverse adjacency for bidirectional queries (valid iff `use_rcsr`).
+    /// Reverse adjacency for bidirectional queries.
     rcsr: RevCsr,
-    use_rcsr: bool,
     sp: SpWorkspace,
     /// Origin-grouping plan for the AON step (rebuilt on demand change).
     groups: CommodityGroups,
     /// Workspaces for the parallel AON workers, recycled across iterations.
     pool: SpPool,
-    /// Struct-of-arrays latency lanes (rebuilt per solve when
-    /// [`FwOptions::batch`] is on; empty otherwise).
+    /// Struct-of-arrays latency lanes (rebuilt per solve).
     batch: LatencyBatch,
     /// Gathered line-search direction, reused across iterations.
     dir_plan: DirPlan,
@@ -205,20 +178,12 @@ impl FwWorkspace {
         graph: &DiGraph,
         latencies: &[LatencyFn],
         demands: &[(NodeId, NodeId, f64)],
-        opts: &FwOptions,
     ) {
         let k = demands.len();
         self.csr.rebuild(graph);
         self.groups.rebuild(demands);
-        // The reverse view only pays off when a bidirectional query can
-        // run; skip the O(m) build otherwise.
-        self.use_rcsr = matches!(opts.sp_mode, SpMode::Auto | SpMode::Bidirectional);
-        if self.use_rcsr {
-            self.rcsr.rebuild(graph);
-        }
-        if opts.batch {
-            self.batch.rebuild(latencies);
-        }
+        self.rcsr.rebuild(graph);
+        self.batch.rebuild(latencies);
         let m = graph.num_edges();
         for buf in [
             &mut self.costs,
@@ -483,9 +448,9 @@ fn solve_inner(
         });
     }
 
-    ws.prepare(graph, latencies, demands, opts);
-    let rcsr = ws.use_rcsr.then_some(&ws.rcsr);
-    let eval = Eval::new(latencies, opts.batch.then_some(&ws.batch));
+    ws.prepare(graph, latencies, demands);
+    let rcsr = Some(&ws.rcsr);
+    let eval = Eval::new(latencies, Some(&ws.batch));
 
     // Instrumentation is observed through the process-global recorder so
     // fleet callers need no extra plumbing; when it is disabled (the
@@ -534,7 +499,6 @@ fn solve_inner(
                             &ws.csr,
                             rcsr,
                             &mut ws.sp,
-                            opts.sp_mode,
                             &ws.costs,
                             s,
                             t,
@@ -554,7 +518,7 @@ fn solve_inner(
     let mut iterations = 0;
     let mut converged = false;
     // Stall detection: the best gap seen and the iteration that set it.
-    let stall_window = opts.effective_stall_window(m);
+    let stall_window = stall_window(m);
     let mut best_gap = f64::INFINITY;
     let mut best_iter = 0usize;
 
@@ -568,7 +532,7 @@ fn solve_inner(
 
     for iter in 0..fw_budget {
         iterations = iter + 1;
-        if opts.restart_period > 0 && iter % opts.restart_period == 0 {
+        if iter % RESTART_PERIOD == 0 {
             ws.s_bar_set = false;
         }
         eval.gradient_into(model, &ws.f, &mut ws.costs);
@@ -581,7 +545,6 @@ fn solve_inner(
             &mut ws.sp,
             &mut ws.pool,
             &ws.groups,
-            opts.sp_mode,
             opts.aon,
             &ws.costs,
             demands,
@@ -601,13 +564,13 @@ fn solve_inner(
         if rel_gap < best_gap * 0.99 {
             best_gap = rel_gap;
             best_iter = iter;
-        } else if stall_window > 0 && iter - best_iter >= stall_window {
+        } else if iter - best_iter >= stall_window {
             // Plateaued: let the polish finish the tail.
             break;
         }
 
         // Direction point: conjugate combination of previous target and y.
-        if opts.conjugate && ws.s_bar_set {
+        if ws.s_bar_set {
             combined_into(&ws.s_bar, &mut ws.prev_comb);
             eval.curvature_into(model, &ws.f, &mut ws.h);
             let a = conjugate_weight(&ws.h, &ws.f, &ws.prev_comb, &ws.y);
@@ -629,7 +592,7 @@ fn solve_inner(
 
         let mut gamma_max = max_step_eval(&eval, &ws.f, &ws.d);
         let mut gamma = exact_step_eval(&eval, model, &ws.f, &ws.d, gamma_max, &mut ws.dir_plan);
-        if gamma <= 0.0 && opts.conjugate {
+        if gamma <= 0.0 {
             // Conjugate direction degenerated; fall back to plain FW.
             for ((de, &ye), &fe) in ws.d.iter_mut().zip(&ws.y).zip(&ws.f) {
                 *de = ye - fe;
@@ -687,7 +650,6 @@ fn solve_inner(
             &ws.csr,
             rcsr,
             &mut ws.sp,
-            opts.sp_mode,
             graph,
             &eval,
             demands,
@@ -860,26 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_fw_converges_slower_but_agrees() {
-        let inst = braess_classic();
-        let fast = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
-        let slow = solve_assignment(
-            &inst,
-            CostModel::Wardrop,
-            &FwOptions {
-                conjugate: false,
-                rel_gap: 1e-6,
-                max_iters: 200_000,
-                ..FwOptions::default()
-            },
-        );
-        assert!(slow.converged);
-        for e in 0..5 {
-            assert!((fast.flow.0[e] - slow.flow.0[e]).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn multicommodity_shares_edges() {
         // Two commodities over a shared middle edge.
         let mut g = DiGraph::with_nodes(4);
@@ -1035,31 +977,15 @@ mod tests {
 
     #[test]
     fn stall_window_adapts_to_edge_count_unless_overridden() {
-        // Adaptive default: max(64, 4·m).
-        let adaptive = FwOptions::default();
-        assert_eq!(adaptive.stall_window, None);
-        assert_eq!(adaptive.effective_stall_window(5), 64);
-        assert_eq!(adaptive.effective_stall_window(16), 64);
-        assert_eq!(adaptive.effective_stall_window(17), 68);
-        assert_eq!(adaptive.effective_stall_window(500), 2000);
-        // Explicit override wins verbatim, including 0 = never stall.
-        let fixed = FwOptions {
-            stall_window: Some(7),
-            ..FwOptions::default()
-        };
-        assert_eq!(fixed.effective_stall_window(500), 7);
-        let never = FwOptions {
-            stall_window: Some(0),
-            ..FwOptions::default()
-        };
-        assert_eq!(never.effective_stall_window(500), 0);
-        // Both paths still drive a solve to convergence.
-        let inst = braess_classic();
-        for opts in [adaptive, fixed, never] {
-            let r = solve_assignment(&inst, CostModel::Wardrop, &opts);
-            assert!(r.converged, "stall_window {:?}", opts.stall_window);
-            assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
-        }
+        // Adaptive rule: max(64, 4·m).
+        assert_eq!(stall_window(5), 64);
+        assert_eq!(stall_window(16), 64);
+        assert_eq!(stall_window(17), 68);
+        assert_eq!(stall_window(500), 2000);
+        // It still drives a solve to convergence.
+        let r = solve_assignment(&braess_classic(), CostModel::Wardrop, &FwOptions::default());
+        assert!(r.converged);
+        assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //!
 //! Along a direction `d` from a feasible flow `f`, the objective
 //! `φ(γ) = Σ_e F_e(f_e + γ d_e)` is convex, so `φ'` is nondecreasing and the
-//! minimiser on `[0, γ_max]` is a sign change of `φ'` — found by bisection
-//! (exact up to f64, no Armijo constants to tune).
+//! minimiser on `[0, γ_max]` is a sign change of `φ'` (exact up to f64, no
+//! Armijo constants to tune). The solvers search through an [`Eval`] view
+//! ([`max_step_eval`], [`exact_step_eval`]: gathered direction plus an
+//! Illinois root finder); [`max_step`] and [`exact_step`] are the
+//! per-edge bisection forms the tests check them against.
 
 use sopt_latency::{DirPlan, Latency};
 
@@ -14,9 +17,18 @@ use crate::roots::{bisect_root, falsi_root};
 /// Upper bound on the step so that `f + γ d` stays strictly inside every
 /// link's capacity domain (M/M/1 poles). Returns at most `1`.
 pub fn max_step<L: Latency>(lats: &[L], f: &[f64], d: &[f64]) -> f64 {
+    step_cap(lats.iter().map(Latency::capacity), f, d)
+}
+
+/// [`max_step`] through an [`Eval`] view: reads the batch's precomputed
+/// capacity slice instead of dispatching per edge.
+pub fn max_step_eval(ev: &Eval, f: &[f64], d: &[f64]) -> f64 {
+    step_cap(ev.batch().capacities().iter().copied(), f, d)
+}
+
+fn step_cap(caps: impl Iterator<Item = f64>, f: &[f64], d: &[f64]) -> f64 {
     let mut gamma = 1.0f64;
-    for ((l, &fe), &de) in lats.iter().zip(f).zip(d) {
-        let cap = l.capacity();
+    for ((cap, &fe), &de) in caps.zip(f).zip(d) {
         if cap.is_finite() && de > 0.0 {
             // Stay a hair inside the pole.
             let room = (cap * 0.999_999 - fe).max(0.0);
@@ -24,6 +36,17 @@ pub fn max_step<L: Latency>(lats: &[L], f: &[f64], d: &[f64]) -> f64 {
         }
     }
     gamma
+}
+
+/// The minimiser when `φ'` keeps one sign on `[0, γ_max]`, else `None`.
+fn endpoint_step(dphi: &impl Fn(f64) -> f64, gamma_max: f64) -> Option<f64> {
+    if dphi(0.0) >= 0.0 {
+        Some(0.0) // not a descent direction
+    } else if dphi(gamma_max) <= 0.0 {
+        Some(gamma_max) // still descending at the cap
+    } else {
+        None
+    }
 }
 
 /// Minimise `γ ↦ Σ_e F_e(f_e + γ d_e)` over `[0, γ_max]`.
@@ -47,38 +70,13 @@ pub fn exact_step<L: Latency>(
             })
             .sum()
     };
-    if dphi(0.0) >= 0.0 {
-        return 0.0; // not a descent direction
-    }
-    if dphi(gamma_max) <= 0.0 {
-        return gamma_max; // still descending at the cap
-    }
-    bisect_root(0.0, gamma_max, 1e-15, dphi)
+    endpoint_step(&dphi, gamma_max).unwrap_or_else(|| bisect_root(0.0, gamma_max, 1e-15, dphi))
 }
 
-/// [`max_step`] through an [`Eval`] view: the batched path reads the
-/// precomputed capacity slice instead of dispatching per edge.
-pub fn max_step_eval(ev: &Eval, f: &[f64], d: &[f64]) -> f64 {
-    let Some(batch) = ev.batch() else {
-        return max_step(ev.latencies(), f, d);
-    };
-    let mut gamma = 1.0f64;
-    for ((&cap, &fe), &de) in batch.capacities().iter().zip(f).zip(d) {
-        if cap.is_finite() && de > 0.0 {
-            // Stay a hair inside the pole.
-            let room = (cap * 0.999_999 - fe).max(0.0);
-            gamma = gamma.min(room / de);
-        }
-    }
-    gamma
-}
-
-/// [`exact_step`] through an [`Eval`] view. The batched path gathers the
-/// direction's nonzero entries into `plan` once, then minimises `φ` with
-/// the Illinois root finder — each `φ'` probe is a short contiguous sweep
-/// and far fewer probes are needed than bisection takes. The scalar path
-/// (`plan` untouched) reproduces [`exact_step`]'s historical
-/// bisection-over-dense-sweeps behaviour exactly.
+/// [`exact_step`] through an [`Eval`] view. Gathers the direction's
+/// nonzero entries into `plan` once, then minimises `φ` with the Illinois
+/// root finder — each `φ'` probe is a short contiguous sweep and far fewer
+/// probes are needed than bisection takes.
 pub fn exact_step_eval(
     ev: &Eval,
     model: CostModel,
@@ -87,22 +85,14 @@ pub fn exact_step_eval(
     gamma_max: f64,
     plan: &mut DirPlan,
 ) -> f64 {
-    let Some(batch) = ev.batch() else {
-        return exact_step(ev.latencies(), model, f, d, gamma_max);
-    };
+    let batch = ev.batch();
     batch.plan_dir(f, d, plan);
     let plan = &*plan;
     let dphi = |gamma: f64| match model {
         CostModel::Wardrop => plan.value(batch, gamma),
         CostModel::SystemOptimum => plan.marginal(batch, gamma),
     };
-    if dphi(0.0) >= 0.0 {
-        return 0.0; // not a descent direction
-    }
-    if dphi(gamma_max) <= 0.0 {
-        return gamma_max; // still descending at the cap
-    }
-    falsi_root(0.0, gamma_max, 1e-15, dphi)
+    endpoint_step(&dphi, gamma_max).unwrap_or_else(|| falsi_root(0.0, gamma_max, 1e-15, dphi))
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use sopt_latency::{Latency, LatencyFn};
-use sopt_network::csr::{Csr, RevCsr, SpMode, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
 use sopt_network::graph::{EdgeId, NodeId};
 use sopt_network::DiGraph;
@@ -31,7 +31,7 @@ use crate::eval::Eval;
 use crate::objective::CostModel;
 use crate::roots::bisect_root;
 
-/// Outcome of [`polish_to_equilibrium`].
+/// Outcome of [`polish_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct PolishResult {
     /// Final relative gap.
@@ -72,47 +72,19 @@ impl PathState {
 }
 
 /// Polish per-commodity edge flows toward the exact equilibrium of `model`.
-/// `per` is updated in place; returns the achieved relative gap.
+/// `per` is updated in place; the result carries the achieved relative gap.
 ///
-/// Convenience wrapper over [`polish_with`] building a fresh CSR view and
-/// shortest-path workspace per call.
-pub fn polish_to_equilibrium(
-    graph: &DiGraph,
-    latencies: &[LatencyFn],
-    demands: &[(NodeId, NodeId, f64)],
-    model: CostModel,
-    per: &mut [EdgeFlow],
-    target_rel_gap: f64,
-    max_rounds: usize,
-) -> PolishResult {
-    polish_with(
-        &Csr::new(graph),
-        None,
-        &mut SpWorkspace::new(),
-        SpMode::Auto,
-        graph,
-        &Eval::scalar(latencies),
-        demands,
-        model,
-        per,
-        target_rel_gap,
-        max_rounds,
-    )
-}
-
-/// [`polish_to_equilibrium`] over a caller-owned CSR view and Dijkstra
-/// workspace (the Frank–Wolfe solver hands in its own, so the polish
-/// phase shares the solve's buffers). Column generation runs its
-/// single-sink queries in `sp_mode` (bidirectional when `rcsr` is
-/// supplied and the graph is large enough under [`SpMode::Auto`]), and
-/// the O(m) cost sweeps route through `eval`'s batch lanes when it is
-/// batched.
+/// Runs over a caller-owned CSR view and Dijkstra workspace (the
+/// Frank–Wolfe solver hands in its own, so the polish phase shares the
+/// solve's buffers). Column generation runs its single-sink queries in
+/// `SpMode::Auto` (bidirectional when `rcsr` is supplied and the graph is
+/// large enough), and the O(m) cost sweeps route through `eval`'s batch
+/// lanes.
 #[allow(clippy::too_many_arguments)]
 pub fn polish_with(
     csr: &Csr,
     rcsr: Option<&RevCsr>,
     sp: &mut SpWorkspace,
-    sp_mode: SpMode,
     graph: &DiGraph,
     eval: &Eval,
     demands: &[(NodeId, NodeId, f64)],
@@ -183,7 +155,7 @@ pub fn polish_with(
             if st.rate <= 0.0 {
                 continue;
             }
-            match timed_shortest_to(csr, rcsr, sp, sp_mode, &costs, st.source, st.sink) {
+            match timed_shortest_to(csr, rcsr, sp, &costs, st.source, st.sink) {
                 Some(dist) => {
                     cy += st.rate * dist;
                     if let Some(edges) = sp.st_path_edges(csr, rcsr) {
@@ -345,7 +317,9 @@ mod tests {
     use super::*;
     use sopt_latency::LatencyFn;
 
-    fn braess() -> (DiGraph, Vec<LatencyFn>) {
+    /// Polish `per` toward `model`'s equilibrium of `rate` units over the
+    /// classic Braess graph, on fresh CSR views and workspace.
+    fn polish_braess(rate: f64, model: CostModel, per: &mut [EdgeFlow], gap: f64) -> PolishResult {
         let mut g = DiGraph::with_nodes(4);
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(0), NodeId(2));
@@ -359,24 +333,29 @@ mod tests {
             LatencyFn::constant(1.0),
             LatencyFn::identity(),
         ];
-        (g, lats)
+        let demands = [(NodeId(0), NodeId(3), rate)];
+        let eval = Eval::new(&lats, None);
+        let rcsr = RevCsr::new(&g);
+        let mut sp = SpWorkspace::new();
+        polish_with(
+            &Csr::new(&g),
+            Some(&rcsr),
+            &mut sp,
+            &g,
+            &eval,
+            &demands,
+            model,
+            per,
+            gap,
+            200,
+        )
     }
 
     #[test]
     fn polishes_uniform_start_to_nash() {
-        let (g, lats) = braess();
         // Start far from equilibrium: everything on the outer path s→v→t.
         let mut per = vec![EdgeFlow(vec![1.0, 0.0, 0.0, 1.0, 0.0])];
-        let demands = [(NodeId(0), NodeId(3), 1.0)];
-        let r = polish_to_equilibrium(
-            &g,
-            &lats,
-            &demands,
-            CostModel::Wardrop,
-            &mut per,
-            1e-12,
-            200,
-        );
+        let r = polish_braess(1.0, CostModel::Wardrop, &mut per, 1e-12);
         assert!(r.converged, "gap {}", r.rel_gap);
         // Nash floods the middle path (flow accuracy ~ √gap for linear
         // latencies; the cost is exact to the gap).
@@ -385,18 +364,8 @@ mod tests {
 
     #[test]
     fn polishes_to_system_optimum() {
-        let (g, lats) = braess();
         let mut per = vec![EdgeFlow(vec![1.0, 0.0, 1.0, 0.0, 1.0])];
-        let demands = [(NodeId(0), NodeId(3), 1.0)];
-        let r = polish_to_equilibrium(
-            &g,
-            &lats,
-            &demands,
-            CostModel::SystemOptimum,
-            &mut per,
-            1e-12,
-            200,
-        );
+        let r = polish_braess(1.0, CostModel::SystemOptimum, &mut per, 1e-12);
         assert!(r.converged, "gap {}", r.rel_gap);
         // Optimum avoids the middle edge: (0.5, 0.5, 0, 0.5, 0.5).
         assert!(per[0].0[2].abs() < 1e-5, "{:?}", per[0]);
@@ -405,10 +374,8 @@ mod tests {
 
     #[test]
     fn zero_rate_is_noop() {
-        let (g, lats) = braess();
         let mut per = vec![EdgeFlow::zeros(5)];
-        let demands = [(NodeId(0), NodeId(3), 0.0)];
-        let r = polish_to_equilibrium(&g, &lats, &demands, CostModel::Wardrop, &mut per, 1e-10, 10);
+        let r = polish_braess(0.0, CostModel::Wardrop, &mut per, 1e-10);
         assert!(r.converged);
         assert!(per[0].0.iter().all(|x| *x == 0.0));
     }

@@ -73,12 +73,6 @@ pub const DEFAULT_PROFILE_CAPACITY: usize = 16_384;
 pub(crate) struct FwKnobs {
     pub(crate) tolerance_bits: u64,
     pub(crate) max_iters: u64,
-    pub(crate) conjugate: bool,
-    pub(crate) restart_period: u64,
-    /// The explicit stall-window override, or `u64::MAX` for the adaptive
-    /// default (which is a pure function of the keyed instance, so it needs
-    /// no separate key material).
-    pub(crate) stall_window: u64,
     /// The AON strategy token ([`sopt_solver::AonMode::name`]):
     /// grouped/parallel AON may break shortest-path ties differently from
     /// sequential, so the mode keys the profile.
@@ -90,9 +84,6 @@ impl FwKnobs {
         Self {
             tolerance_bits: fw.rel_gap.to_bits(),
             max_iters: fw.max_iters as u64,
-            conjugate: fw.conjugate,
-            restart_period: fw.restart_period as u64,
-            stall_window: fw.stall_window.map_or(u64::MAX, |w| w as u64),
             aon: fw.aon.name(),
         }
     }
@@ -122,9 +113,6 @@ impl ProfileKey {
             h.write_u64(1);
             h.write_u64(k.tolerance_bits);
             h.write_u64(k.max_iters);
-            h.write_u64(u64::from(k.conjugate));
-            h.write_u64(k.restart_period);
-            h.write_u64(k.stall_window);
             h.write(k.aon.as_bytes());
         }
         (h.finish() as usize) & (shards - 1)

@@ -1,9 +1,9 @@
 //! The disk-backed second-level cache: an append-only log of solved
 //! reports and equilibrium profiles, replayed on startup.
 //!
-//! ## File format (`soptcache` version 2)
+//! ## File format (`soptcache` version 3)
 //!
-//! A plain text file. Line 1 is the header `soptcache 2`; every further
+//! A plain text file. Line 1 is the header `soptcache 3`; every further
 //! line is one record, tab-separated:
 //!
 //! ```text
@@ -15,8 +15,10 @@
 //! [`Fingerprint`] fields (the digest is recomputed on replay, so the log
 //! carries no hash to go stale). `P` records are profile-memo entries —
 //! the [`ProfileKey`] fields, with `fwknobs` either `-` (knob-free
-//! parallel equalizer) or `tol₁₆:max_iters:conjugate:restart:stall:aon`.
-//! (Version 2 added the `aon` strategy token to both key shapes.)
+//! parallel equalizer) or `tol₁₆:max_iters:aon`. (Version 2 added the
+//! `aon` strategy token to both key shapes; version 3 dropped the
+//! conjugate, restart and stall-window tokens from `fwknobs` when those
+//! solver settings stopped being options.)
 //!
 //! Every `f64` in a key or payload is written as the 16-hex-digit big-endian
 //! encoding of its IEEE-754 bits (`f64::to_bits`), **never** as decimal
@@ -31,9 +33,9 @@
 //!   recompute and not worth the bytes.
 //! * A torn final line (crash mid-append) or any undecodable record is
 //!   skipped on replay; the rest of the log still loads.
-//! * A file whose header is not `soptcache 2` is refused with a typed
-//!   [`SoptError::Io`] — future format versions bump the header rather
-//!   than silently misparsing.
+//! * A file whose header is not `soptcache 3` — an older version's
+//!   included — is refused with a typed [`SoptError::Io`]: every format
+//!   change bumps the header rather than silently misparsing.
 //! * Append failures (disk full, revoked permissions) poison the log
 //!   handle: the server keeps solving from memory and simply stops
 //!   persisting, rather than failing requests.
@@ -57,8 +59,8 @@ use super::super::report::{
 use super::super::scenario::ScenarioClass;
 use super::super::solve::Task;
 
-/// The header line a version-2 cache file starts with.
-const HEADER: &str = "soptcache 2";
+/// The header line a version-3 cache file starts with.
+const HEADER: &str = "soptcache 3";
 
 /// The write side of the log. Appends are serialized by a mutex and
 /// flushed per record; a failed append poisons the handle (persistence
@@ -108,7 +110,7 @@ pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
             if lines.next() != Some(HEADER) {
                 return Err(SoptError::Io {
                     context: format!(
-                        "'{}' is not a soptcache v2 file (bad header)",
+                        "'{}' is not a soptcache v3 file (bad header)",
                         path.display()
                     ),
                 });
@@ -175,7 +177,7 @@ pub(crate) fn compact(path: &Path) -> Result<(usize, usize), SoptError> {
     if lines.next() != Some(HEADER) {
         return Err(SoptError::Io {
             context: format!(
-                "'{}' is not a soptcache v2 file (bad header)",
+                "'{}' is not a soptcache v3 file (bad header)",
                 path.display()
             ),
         });
@@ -637,15 +639,7 @@ fn encode_profile(key: &ProfileKey, profile: &ModelProfile) -> Option<String> {
     }
     let fw = match key.fw {
         None => "-".to_string(),
-        Some(k) => format!(
-            "{}:{}:{}:{}:{}:{}",
-            hx_bits(k.tolerance_bits),
-            k.max_iters,
-            u8::from(k.conjugate),
-            k.restart_period,
-            k.stall_window,
-            k.aon
-        ),
+        Some(k) => format!("{}:{}:{}", hx_bits(k.tolerance_bits), k.max_iters, k.aon),
     };
     let payload = match profile {
         ModelProfile::Parallel { flows, level } => {
@@ -690,13 +684,6 @@ fn decode_profile(mut fields: std::str::Split<'_, char>) -> Option<Record> {
         let knobs = FwKnobs {
             tolerance_bits: unhx_bits(parts.next()?)?,
             max_iters: parts.next()?.parse().ok()?,
-            conjugate: match parts.next()? {
-                "0" => false,
-                "1" => true,
-                _ => return None,
-            },
-            restart_period: parts.next()?.parse().ok()?,
-            stall_window: parts.next()?.parse().ok()?,
             aon: AonMode::from_name(parts.next()?)?.name(),
         };
         if parts.next().is_some() {
@@ -853,9 +840,6 @@ mod tests {
             fw: Some(FwKnobs {
                 tolerance_bits: 1e-10f64.to_bits(),
                 max_iters: 2000,
-                conjugate: true,
-                restart_period: 50,
-                stall_window: u64::MAX,
                 aon: AonMode::Auto.name(),
             }),
         };
@@ -925,11 +909,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sopt-compact-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("not-a-cache");
-        std::fs::write(&path, "something else\n").unwrap();
-        assert!(matches!(
-            compact(&path).unwrap_err(),
-            SoptError::Io { context } if context.contains("bad header")
-        ));
+        // A version-2 log is refused like any foreign file: its profile
+        // records carry knob tokens this version no longer reads.
+        for text in ["something else\n", "soptcache 2\n"] {
+            std::fs::write(&path, text).unwrap();
+            assert!(matches!(
+                compact(&path).unwrap_err(),
+                SoptError::Io { context } if context.contains("bad header")
+            ));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

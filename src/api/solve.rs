@@ -204,7 +204,6 @@ impl SolveOptions {
             rel_gap: self.tolerance,
             max_iters: self.max_iters,
             aon: self.aon,
-            ..FwOptions::default()
         }
     }
 }

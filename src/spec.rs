@@ -29,7 +29,8 @@
 //! nodes=4; 0->1: x; 0->2: 1.0; 1->3: 1.0; 2->3: x; demand 0->3: 1.0
 //! ```
 //!
-//! * `nodes=N` — declares vertices `0..N`; must come first;
+//! * `nodes=N` — declares vertices `0..N` (2 ≤ N ≤ 1,000,000); must come
+//!   first;
 //! * `A->B: EXPR` — a directed edge with a latency expression (parallel
 //!   edges allowed, self-loops rejected). A trailing `[priceable]` marker
 //!   (`0->1: x [priceable]`) nominates the edge for the Stackelberg
@@ -43,7 +44,7 @@
 //! All errors are [`SoptError::Parse`] values naming the offending token.
 
 use sopt_latency::LatencyFn;
-use sopt_network::graph::{DiGraph, NodeId};
+use sopt_network::graph::{DiGraph, NodeId, MAX_PARSED_NODES};
 use sopt_network::instance::Commodity;
 
 use crate::api::SoptError;
@@ -338,6 +339,12 @@ pub fn parse_network(spec: &str) -> Result<NetworkSpec, SoptError> {
                 .map_err(|e| perr(stmt, format!("node count '{}': {e}", nstr.trim())))?;
             if n < 2 {
                 return Err(perr(stmt, format!("need at least 2 nodes, got {n}")));
+            }
+            if n > MAX_PARSED_NODES {
+                return Err(perr(
+                    stmt,
+                    format!("too many nodes: {n} > {MAX_PARSED_NODES}"),
+                ));
             }
             nodes = Some(n);
             continue;
@@ -823,6 +830,7 @@ mod tests {
         assert!(msg("nodes=2; 0->1: x; demand 0->1: -1").contains("rate"));
         assert!(msg("nodes=2; 0->1: 2 x; demand 0->1: 1").contains("whitespace"));
         assert!(msg("nodes=1; 0->1: x; demand 0->1: 1").contains("at least 2"));
+        assert!(msg("nodes=100000000000; 0->1: x; demand 0->1: 1").contains("too many nodes"));
         assert_eq!(
             parse_network("nodes=3; 0->1: x; demand 0->2: 1").unwrap_err(),
             SoptError::Unreachable { commodity: 0 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use stackopt::api::{
     AonMode, CurveStrategy, EngineBuilder, Outcome, Request, RequestId, RequestKind, Response,
-    ShedPolicy, SolveRequest, Task,
+    ShedPolicy, SolveRequest, SoptError, Task,
 };
 
 /// A unique temp path per test (no tempfile dependency; the process id
@@ -95,7 +95,7 @@ fn warm_across_restart_is_bit_identical_and_counts_disk_hits() {
 
     // The log exists, is versioned, and holds one record per unique solve.
     let log = std::fs::read_to_string(&cache_file.0).unwrap();
-    assert!(log.starts_with("soptcache 2\n"), "missing header: {log}");
+    assert!(log.starts_with("soptcache 3\n"), "missing header: {log}");
     assert!(log.lines().skip(1).count() >= first.len());
 
     // Warm process: the same requests replay from the log — report-table
@@ -139,12 +139,17 @@ fn restarted_server_extends_the_log_rather_than_clobbering_it() {
 #[test]
 fn foreign_cache_files_are_refused_with_a_typed_error() {
     let cache_file = TempPath::new("foreign");
-    std::fs::write(&cache_file.0, "definitely not a soptcache\n").unwrap();
-    let err = EngineBuilder::new()
-        .persist(&cache_file.0)
-        .server()
-        .unwrap_err();
-    assert!(err.to_string().contains("soptcache"), "{err}");
+    // A version-2 log (its profile records carry knob tokens this version
+    // no longer reads) is refused like any foreign file.
+    for text in ["definitely not a soptcache\n", "soptcache 2\n"] {
+        std::fs::write(&cache_file.0, text).unwrap();
+        let err = EngineBuilder::new()
+            .persist(&cache_file.0)
+            .server()
+            .unwrap_err();
+        assert!(matches!(err, SoptError::Io { .. }), "{err:?}");
+        assert!(err.to_string().contains("soptcache"), "{err}");
+    }
 }
 
 #[test]
@@ -330,28 +335,36 @@ fn expired_deadlines_drop_exactly_once_with_a_typed_response() {
 
 #[test]
 fn oversized_step_counts_get_a_typed_error_and_the_daemon_answers_on() {
-    // `steps` sizes the curve's α grid: unbounded, the first line aborts
-    // the process on allocation failure and the later ids go unanswered.
+    // `steps` sizes the curve's α grid and `nodes=` the graph's adjacency:
+    // unbounded, each of the first three lines aborts the process on
+    // allocation failure and the later ids go unanswered.
     let input = "{\"v\": 1, \"id\": 1, \"kind\": \"solve\", \"spec\": \"x, 1.0\", \
                  \"task\": \"curve\", \"steps\": 1000000000000}\n\
                  {\"v\": 1, \"id\": 2, \"kind\": \"solve\", \"spec\": \"x, 1.0\", \
                  \"task\": \"pricing\", \"price_steps\": 1000000000000}\n\
-                 {\"v\": 1, \"id\": 3, \"kind\": \"solve\", \"spec\": \"x, 1.0\"}\n";
+                 {\"v\": 1, \"id\": 3, \"kind\": \"solve\", \
+                 \"spec\": \"nodes=100000000000; 0->1: x; demand 0->1: 1\"}\n\
+                 {\"v\": 1, \"id\": 4, \"kind\": \"solve\", \"spec\": \"x, 1.0\"}\n";
     let server = EngineBuilder::new().threads(1).server().unwrap();
     let mut out = Vec::new();
     server.serve(input.as_bytes(), &mut out).unwrap();
     let out = String::from_utf8(out).unwrap();
     let lines: Vec<&str> = out.lines().collect();
-    assert_eq!(lines.len(), 3, "{out}");
-    for (line, (id, knob)) in lines.iter().zip([(1, "steps"), (2, "price_steps")]) {
+    assert_eq!(lines.len(), 4, "{out}");
+    let errs = [
+        (1, "invalid steps"),
+        (2, "invalid price_steps"),
+        (3, "too many nodes"),
+    ];
+    for (line, (id, why)) in lines.iter().zip(errs) {
         let resp = format!("{{\"v\": 1, \"id\": {id}, \"status\": \"err\"");
         assert!(line.starts_with(&resp), "{line}");
-        assert!(line.contains(&format!("invalid {knob}")), "{line}");
+        assert!(line.contains(why), "{line}");
     }
     assert!(
-        lines[2].starts_with("{\"v\": 1, \"id\": 3, \"status\": \"ok\""),
+        lines[3].starts_with("{\"v\": 1, \"id\": 4, \"status\": \"ok\""),
         "{}",
-        lines[2]
+        lines[3]
     );
 }
 

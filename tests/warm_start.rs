@@ -119,31 +119,22 @@ fn perturbed_multicommodity_warm_start_is_equivalent_and_cheaper() {
 
 #[test]
 fn batched_evaluation_preserves_warm_and_cold_flows() {
-    // Regression guard for the struct-of-arrays fast path: the default
-    // options (batched lanes, target-aware shortest paths) and the
-    // historical scalar/full-Dijkstra configuration must agree on every
-    // edge flow, cold-started and warm-started alike.
+    // Regression guard for the struct-of-arrays lanes and target-aware
+    // shortest paths: cold- and warm-started default solves must both land
+    // on a certified system optimum (KKT within tolerance on every path).
+    use stackopt::equilibrium::certify::certify_network;
+    use stackopt::solver::CostModel;
     let inst = stackopt::instances::try_grid_city(6, 1.0, 42).unwrap();
-    let batched = FwOptions::default();
-    let scalar = FwOptions {
-        batch: false,
-        sp_mode: stackopt::solver::SpMode::Full,
-        ..FwOptions::default()
-    };
-    let cold_b = try_network_optimum(&inst, &batched, None).unwrap();
-    let cold_s = try_network_optimum(&inst, &scalar, None).unwrap();
-    assert!(cold_b.converged && cold_s.converged);
-    for (e, (a, b)) in cold_b.flow.0.iter().zip(&cold_s.flow.0).enumerate() {
-        assert!((a - b).abs() < 1e-5, "cold edge {e}: {a} vs {b}");
-    }
+    let opts = FwOptions::default();
+    let cold = try_network_optimum(&inst, &opts, None).unwrap();
+    assert!(cold.converged);
+    certify_network(&inst, &cold.flow, CostModel::SystemOptimum, 1e-4).expect("cold certified");
 
     let perturbed = with_rate(&inst, 1.1);
-    let warm_b = try_network_optimum(&perturbed, &batched, Some(&cold_b)).unwrap();
-    let warm_s = try_network_optimum(&perturbed, &scalar, Some(&cold_s)).unwrap();
-    assert!(warm_b.converged && warm_s.converged);
-    for (e, (a, b)) in warm_b.flow.0.iter().zip(&warm_s.flow.0).enumerate() {
-        assert!((a - b).abs() < 1e-5, "warm edge {e}: {a} vs {b}");
-    }
+    let warm = try_network_optimum(&perturbed, &opts, Some(&cold)).unwrap();
+    assert!(warm.converged);
+    certify_network(&perturbed, &warm.flow, CostModel::SystemOptimum, 1e-4)
+        .expect("warm certified");
 }
 
 #[test]
