@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use sopt_core::curve::anarchy_curve_network;
+use sopt_core::curve::{anarchy_curve_multi, CurveOptions};
 use sopt_instances::braess::{braess_classic, fig7_instance};
 use sopt_instances::random::{random_layered_network, random_spec_mixed};
 use sopt_network::graph::NodeId;
@@ -68,6 +68,10 @@ fn measure(name: &'static str, inst: &NetworkInstance) -> CaseNumbers {
         .map(|k| k as f64 / ALPHA_STEPS as f64)
         .collect();
     let opts = FwOptions::default();
+    let sweep = |warm| CurveOptions {
+        warm,
+        ..CurveOptions::default()
+    };
 
     // Best-of-REPS wall time; iteration counts are deterministic.
     let mut cold_secs = f64::INFINITY;
@@ -76,10 +80,10 @@ fn measure(name: &'static str, inst: &NetworkInstance) -> CaseNumbers {
     let mut warm = None;
     for _ in 0..REPS {
         let t = Instant::now();
-        cold = Some(anarchy_curve_network(inst, &alphas, &opts, false).expect("cold sweep"));
+        cold = Some(anarchy_curve_multi(inst, &alphas, &opts, &sweep(false)).expect("cold sweep"));
         cold_secs = cold_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        warm = Some(anarchy_curve_network(inst, &alphas, &opts, true).expect("warm sweep"));
+        warm = Some(anarchy_curve_multi(inst, &alphas, &opts, &sweep(true)).expect("warm sweep"));
         warm_secs = warm_secs.min(t.elapsed().as_secs_f64());
     }
     let (cold, warm) = (cold.unwrap(), warm.unwrap());

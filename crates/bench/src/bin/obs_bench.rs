@@ -36,7 +36,7 @@ use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
 
-use sopt_core::curve::anarchy_curve_network;
+use sopt_core::curve::{anarchy_curve_multi, CurveOptions};
 use sopt_instances::braess::{braess_classic, fig7_instance};
 use sopt_instances::random::random_layered_network;
 use sopt_network::instance::NetworkInstance;
@@ -83,7 +83,8 @@ fn workload(instances: &[(&'static str, NetworkInstance)], alphas: &[f64]) -> f6
     let mut acc = 0.0;
     for _ in 0..INNER {
         for (_, inst) in instances {
-            let curve = anarchy_curve_network(inst, alphas, &opts, true).expect("warm sweep");
+            let curve = anarchy_curve_multi(inst, alphas, &opts, &CurveOptions::default())
+                .expect("warm sweep");
             acc += curve.points.iter().map(|p| p.cost).sum::<f64>();
         }
     }

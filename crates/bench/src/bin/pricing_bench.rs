@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use sopt_equilibrium::network::{try_network_nash, warm_seed_from};
+use sopt_equilibrium::network::{try_multicommodity_nash, warm_seed_from_per};
 use sopt_instances::random::random_layered_network;
 use sopt_latency::LatencyFn;
 use sopt_network::instance::NetworkInstance;
@@ -73,16 +73,17 @@ fn sweep(
     opts: &FwOptions,
     warm: bool,
 ) -> (Vec<f64>, Vec<Vec<f64>>, usize) {
-    let base = try_network_nash(inst, opts, None).expect("unpriced nash");
-    let mut seed = warm_seed_from(&base.flow);
+    let base = try_multicommodity_nash(inst, opts, None).expect("unpriced nash");
+    let mut seed = warm_seed_from_per(vec![base.flow.clone()]);
     let mut revenues = Vec::with_capacity(BETA_STEPS + 1);
     let mut flows = Vec::with_capacity(BETA_STEPS + 1);
     let mut iters = base.iterations;
     for j in 0..=BETA_STEPS {
         let beta = 2.0 * j as f64 / BETA_STEPS as f64;
         let toll = beta * PRICE;
-        let r = try_network_nash(&tolled(inst, priceable, toll), opts, warm.then_some(&seed))
-            .expect("priced nash");
+        let r =
+            try_multicommodity_nash(&tolled(inst, priceable, toll), opts, warm.then_some(&seed))
+                .expect("priced nash");
         iters += r.iterations;
         revenues.push(revenue_of(priceable, toll, &r));
         flows.push(r.flow.as_slice().to_vec());

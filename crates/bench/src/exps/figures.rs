@@ -1,13 +1,14 @@
 //! E1–E4: the paper's worked figures, regenerated.
 
-use sopt_core::mop::mop;
+use sopt_core::mop_multi::mop_multi;
 use sopt_core::optop::optop;
 use sopt_core::theorems::swap_reassignment;
 use sopt_equilibrium::cost::coordination_ratio;
-use sopt_equilibrium::network::{induced_network, network_nash};
+use sopt_equilibrium::network::{induced_multicommodity, multicommodity_nash};
 use sopt_instances::braess::{fig7_expected, fig7_instance};
 use sopt_instances::fig4::{fig4_expected, fig4_links};
 use sopt_instances::pigou::{pigou_expected, pigou_links};
+use sopt_network::Network;
 use sopt_solver::frank_wolfe::FwOptions;
 
 use crate::table::{f, Table};
@@ -128,11 +129,12 @@ pub fn e3_fig7_mop() {
     for &eps in &[0.0, 0.01, 0.05, 0.1, 0.2] {
         let inst = fig7_instance(eps);
         let e = fig7_expected(eps);
-        let r = mop(&inst, &opts);
-        let nash = network_nash(&inst, &opts);
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &opts);
+        let r = mop_multi(&inst, &opts);
+        let c = &r.commodities[0];
+        let nash = multicommodity_nash(&inst, &opts);
+        let follower = induced_multicommodity(&inst, &r.leader_total, &[c.leader_value], &opts);
         let total: Vec<f64> = r
-            .leader
+            .leader_total
             .as_slice()
             .iter()
             .zip(follower.flow.as_slice())
@@ -143,7 +145,7 @@ pub fn e3_fig7_mop() {
             f(e.beta),
             f(r.beta),
             f(e.shortest_path_flow),
-            f(r.free_value),
+            f(c.free_value),
             f(inst.cost(nash.flow.as_slice())),
             f(r.optimum_cost),
             f(inst.cost(&total)),

@@ -4,7 +4,7 @@ use sopt_core::mop_multi::mop_multi;
 use sopt_equilibrium::network::{induced_multicommodity, multicommodity_nash};
 use sopt_latency::LatencyFn;
 use sopt_network::graph::{DiGraph, NodeId};
-use sopt_network::instance::{Commodity, MultiCommodityInstance};
+use sopt_network::instance::{Commodity, MultiCommodityInstance, Network};
 use sopt_solver::frank_wolfe::FwOptions;
 
 use crate::table::{f, Table};

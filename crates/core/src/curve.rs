@@ -7,21 +7,18 @@
 //! experiments E5/E7 measure pointwise.
 
 use sopt_equilibrium::network::{
-    try_induced_multicommodity, try_induced_network, try_multicommodity_nash,
-    try_multicommodity_optimum, try_network_nash, try_network_optimum, WarmSeed,
+    try_induced_multicommodity, try_multicommodity_nash, try_multicommodity_optimum, WarmSeed,
 };
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
 use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
-use sopt_solver::error::SolverError;
+use sopt_network::instance::Network;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
 use crate::brute::{brute_force_optimal, BruteOptions};
 use crate::error::CoreError;
 use crate::linear_optimal::linear_optimal_strategy;
 use crate::llf::llf;
-use crate::mop::{try_mop_with_optimum, MopResult};
 use crate::mop_multi::{try_mop_multi_with_optimum, MopMultiResult};
 use crate::optop::optop;
 use crate::scale::scale;
@@ -174,12 +171,10 @@ impl std::fmt::Display for CurveStrategy {
     }
 }
 
-/// Knobs of the induced-equilibrium α-sweeps ([`anarchy_curve_network`],
-/// [`anarchy_curve_multi`]).
+/// Knobs of the induced-equilibrium α-sweep ([`anarchy_curve_multi`]).
 #[derive(Clone, Copy, Debug)]
 pub struct CurveOptions {
-    /// Weak vs strong portion split (k-commodity sweeps only; ignored by
-    /// single-commodity classes, where the two coincide).
+    /// Weak vs strong portion split (the two coincide on one commodity).
     pub strategy: CurveStrategy,
     /// Seed each α's induced solve from the previous α's follower flow.
     pub warm: bool,
@@ -235,10 +230,10 @@ pub struct NetworkAnarchyCurve {
 }
 
 /// The per-commodity α-portion plan an induced-equilibrium sweep needs,
-/// extracted from MOP (`k = 1`, Corollary 2.3) or Theorem 2.1 (`k`
-/// commodities). [`CurvePlan::leader_at`] is the per-class α-portion
-/// policy: given an overall portion it produces the Leader edge flow, the
-/// per-commodity controlled values, and the oracle tag.
+/// extracted from MOP (Theorem 2.1; Corollary 2.3 is the `k = 1` case).
+/// [`CurvePlan::leader_at`] is the α-portion policy: given an overall
+/// portion it produces the Leader edge flow, the per-commodity controlled
+/// values, and the oracle tag.
 #[derive(Clone, Debug)]
 pub struct CurvePlan {
     /// Overall price of optimum `β` (the strong crossover).
@@ -262,22 +257,6 @@ pub struct CurvePlan {
 }
 
 impl CurvePlan {
-    /// The plan of a single-commodity s–t instance (from MOP).
-    pub fn from_mop(r: &MopResult, rate: f64) -> Self {
-        let alpha = r.leader_value / rate;
-        Self {
-            beta: r.beta,
-            weak_beta: alpha,
-            rates: vec![rate],
-            per_leader: vec![r.leader.clone()],
-            leader_values: vec![r.leader_value],
-            per_free: vec![r.free_flow.clone()],
-            free_values: vec![r.free_value],
-            per_optimum: vec![r.optimum.clone()],
-            optimum_cost: r.optimum_cost,
-        }
-    }
-
     /// The plan of a k-commodity instance (from Theorem 2.1).
     pub fn from_mop_multi(r: &MopMultiResult, rates: Vec<f64>) -> Self {
         Self {
@@ -422,21 +401,55 @@ impl CurvePlan {
     }
 }
 
-/// The shared α-sweep driver behind the network and k-commodity curves:
-/// sample the plan's portion policy at each α, solve the induced
-/// equilibrium (warm-chained from the previous α when `copts.warm`), and
-/// assemble the curve. `induced` abstracts the class's induced solve.
-fn sweep_induced<F>(
-    plan: &CurvePlan,
+/// Sample the a-posteriori anarchy curve of a network at the given α values
+/// (sorted internally): the Leader controls the overall portion α of the
+/// total demand, split per commodity by `copts.strategy` (see
+/// [`CurveStrategy`]; on an s–t network the splits coincide), and every
+/// commodity's remaining flow routes selfishly against the preloaded
+/// latencies. [`CurvePlan::leader_at`] picks each point's strategy and
+/// oracle. With `copts.warm`, each α's induced solve is seeded from the
+/// previous α's follower flows — `fw_bench` and `curve_bench` measure the
+/// iteration reduction (`BENCH_fw.json`, `BENCH_curve.json`).
+pub fn anarchy_curve_multi(
+    inst: &impl Network,
     alphas: &[f64],
+    opts: &FwOptions,
     copts: &CurveOptions,
-    nash_cost: f64,
-    cost: &dyn Fn(&[f64]) -> f64,
-    mut induced: F,
-) -> Result<NetworkAnarchyCurve, CoreError>
-where
-    F: FnMut(&EdgeFlow, &[f64], WarmSeed<'_>) -> Result<FwResult, SolverError>,
-{
+) -> Result<NetworkAnarchyCurve, CoreError> {
+    let optimum = try_multicommodity_optimum(inst, opts, None)?;
+    if !optimum.converged {
+        return Err(CoreError::NotConverged {
+            what: "optimum",
+            rel_gap: optimum.rel_gap,
+        });
+    }
+    // The Nash anchor is solved cold even in warm mode: anchors are the
+    // values the engine memoizes per (spec, kind, knobs), and memo entries
+    // must not depend on which task computed them first.
+    let nash = try_multicommodity_nash(inst, opts, None)?;
+    if !nash.converged {
+        return Err(CoreError::NotConverged {
+            what: "nash",
+            rel_gap: nash.rel_gap,
+        });
+    }
+    anarchy_curve_multi_with(inst, alphas, opts, copts, &optimum, &nash)
+}
+
+/// [`anarchy_curve_multi`] with the optimum and Nash anchors supplied by
+/// the caller (the session layer threads memoized profiles through here).
+pub fn anarchy_curve_multi_with(
+    inst: &impl Network,
+    alphas: &[f64],
+    opts: &FwOptions,
+    copts: &CurveOptions,
+    optimum: &FwResult,
+    nash: &FwResult,
+) -> Result<NetworkAnarchyCurve, CoreError> {
+    let mop = try_mop_multi_with_optimum(inst, optimum)?;
+    let rates: Vec<f64> = inst.demands().map(|c| c.rate).collect();
+    let plan = CurvePlan::from_mop_multi(&mop, rates);
+
     let mut sorted: Vec<f64> = alphas.to_vec();
     sorted.sort_by(f64::total_cmp);
 
@@ -451,7 +464,12 @@ where
             // One induced-equilibrium solve per α — the unit the warm-chain
             // optimisation targets, so it gets its own phase histogram.
             let _induced = sopt_obs::global().span(sopt_obs::Phase::Induced);
-            induced(&leader, &values, seed)?
+            let clamped: Vec<f64> = values
+                .iter()
+                .zip(&plan.rates)
+                .map(|(&v, &r)| v.min(r))
+                .collect();
+            try_induced_multicommodity(inst, &leader, &clamped, opts, seed)?
         };
         if !follower.converged {
             return Err(CoreError::NotConverged {
@@ -465,7 +483,7 @@ where
             .zip(follower.flow.as_slice())
             .map(|(a, b)| a + b)
             .collect();
-        let point_cost = cost(&flow);
+        let point_cost = inst.cost(&flow);
         total_iterations += follower.iterations;
         points.push(NetworkCurvePoint {
             alpha,
@@ -483,142 +501,10 @@ where
         beta: plan.crossover(copts.strategy),
         weak_beta: plan.weak_beta,
         strategy: copts.strategy,
-        nash_cost,
+        nash_cost: inst.cost(nash.flow.as_slice()),
         optimum_cost: plan.optimum_cost,
         total_iterations,
     })
-}
-
-/// Sample the a-posteriori anarchy curve of an s–t network at the given α
-/// values (sorted internally).
-///
-/// Strategy oracle per point: at `α ≥ β_G` the MOP strategy padded with
-/// mimicking free flow enforces the optimum exactly (Corollary 2.2 lifted
-/// to networks via Corollary 2.3); below `β_G` the Leader plays the
-/// SCALE strategy `α·O` — an upper bound on the optimal induced cost.
-///
-/// With `warm = true` each α's follower equilibrium is seeded from the
-/// previous α's follower flow (adjacent α flows are close, so the solver
-/// converges in a handful of iterations instead of re-bootstrapping —
-/// `fw_bench` measures the ratio and `BENCH_fw.json` records it).
-pub fn anarchy_curve_network(
-    inst: &NetworkInstance,
-    alphas: &[f64],
-    opts: &FwOptions,
-    warm: bool,
-) -> Result<NetworkAnarchyCurve, CoreError> {
-    let optimum = try_network_optimum(inst, opts, None)?;
-    if !optimum.converged {
-        return Err(CoreError::NotConverged {
-            what: "optimum",
-            rel_gap: optimum.rel_gap,
-        });
-    }
-    // The Nash anchor is solved cold even in warm mode: anchors are the
-    // values the engine memoizes per (spec, kind, knobs), and memo entries
-    // must not depend on which task computed them first.
-    let nash = try_network_nash(inst, opts, None)?;
-    if !nash.converged {
-        return Err(CoreError::NotConverged {
-            what: "nash",
-            rel_gap: nash.rel_gap,
-        });
-    }
-    anarchy_curve_network_with(inst, alphas, opts, warm, &optimum, &nash)
-}
-
-/// [`anarchy_curve_network`] with the optimum and Nash anchors supplied by
-/// the caller — the session layer threads memoized profiles through here so
-/// a fleet re-touching one scenario solves each anchor once.
-pub fn anarchy_curve_network_with(
-    inst: &NetworkInstance,
-    alphas: &[f64],
-    opts: &FwOptions,
-    warm: bool,
-    optimum: &FwResult,
-    nash: &FwResult,
-) -> Result<NetworkAnarchyCurve, CoreError> {
-    let mop = try_mop_with_optimum(inst, optimum)?;
-    let plan = CurvePlan::from_mop(&mop, inst.rate);
-    let nash_cost = inst.cost(nash.flow.as_slice());
-    let copts = CurveOptions {
-        strategy: CurveStrategy::Strong,
-        warm,
-    };
-    sweep_induced(
-        &plan,
-        alphas,
-        &copts,
-        nash_cost,
-        &|flow| inst.cost(flow),
-        |leader, values, seed| {
-            try_induced_network(inst, leader, values[0].min(inst.rate), opts, seed)
-        },
-    )
-}
-
-/// Sample the a-posteriori anarchy curve of a k-commodity instance at the
-/// given α values: the Leader controls the overall portion α of the total
-/// demand, split per commodity by `copts.strategy` (weak/strong, see
-/// [`CurveStrategy`]), and every commodity's remaining flow routes
-/// selfishly against the preloaded latencies. With `copts.warm`, each α's
-/// induced solve is seeded from the previous α's follower flows
-/// (`try_solve_warm_multicommodity` under the hood) — `curve_bench`
-/// measures the iteration reduction (`BENCH_curve.json`).
-pub fn anarchy_curve_multi(
-    inst: &MultiCommodityInstance,
-    alphas: &[f64],
-    opts: &FwOptions,
-    copts: &CurveOptions,
-) -> Result<NetworkAnarchyCurve, CoreError> {
-    let optimum = try_multicommodity_optimum(inst, opts, None)?;
-    if !optimum.converged {
-        return Err(CoreError::NotConverged {
-            what: "optimum",
-            rel_gap: optimum.rel_gap,
-        });
-    }
-    // Anchors are solved cold even in warm mode (memo determinism; see
-    // `anarchy_curve_network`).
-    let nash = try_multicommodity_nash(inst, opts, None)?;
-    if !nash.converged {
-        return Err(CoreError::NotConverged {
-            what: "nash",
-            rel_gap: nash.rel_gap,
-        });
-    }
-    anarchy_curve_multi_with(inst, alphas, opts, copts, &optimum, &nash)
-}
-
-/// [`anarchy_curve_multi`] with the optimum and Nash anchors supplied by
-/// the caller (the session layer threads memoized profiles through here).
-pub fn anarchy_curve_multi_with(
-    inst: &MultiCommodityInstance,
-    alphas: &[f64],
-    opts: &FwOptions,
-    copts: &CurveOptions,
-    optimum: &FwResult,
-    nash: &FwResult,
-) -> Result<NetworkAnarchyCurve, CoreError> {
-    let mop = try_mop_multi_with_optimum(inst, optimum)?;
-    let rates: Vec<f64> = inst.commodities.iter().map(|c| c.rate).collect();
-    let plan = CurvePlan::from_mop_multi(&mop, rates);
-    let nash_cost = inst.cost(nash.flow.as_slice());
-    sweep_induced(
-        &plan,
-        alphas,
-        copts,
-        nash_cost,
-        &|flow| inst.cost(flow),
-        |leader, values, seed| {
-            let clamped: Vec<f64> = values
-                .iter()
-                .zip(&inst.commodities)
-                .map(|(&v, c)| v.min(c.rate))
-                .collect();
-            try_induced_multicommodity(inst, leader, &clamped, opts, seed)
-        },
-    )
 }
 
 fn pad(strategy: &[f64], optimum: &[f64], budget: f64) -> Vec<f64> {
@@ -643,6 +529,7 @@ fn pad(strategy: &[f64], optimum: &[f64], budget: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 
     fn alphas() -> Vec<f64> {
         (0..=10).map(|k| k as f64 / 10.0).collect()
@@ -729,7 +616,13 @@ mod tests {
     #[test]
     fn network_curve_shape_on_braess() {
         let inst = braess();
-        let c = anarchy_curve_network(&inst, &alphas(), &FwOptions::default(), true).unwrap();
+        let c = anarchy_curve_multi(
+            &inst,
+            &alphas(),
+            &FwOptions::default(),
+            &CurveOptions::default(),
+        )
+        .unwrap();
         // Anchors: C(N) = 2, C(O) = 3/2, so the curve starts at 4/3.
         assert!((c.nash_cost - 2.0).abs() < 1e-5);
         assert!((c.optimum_cost - 1.5).abs() < 1e-5);
@@ -786,8 +679,17 @@ mod tests {
     fn network_curve_warm_matches_cold_with_fewer_iterations() {
         let inst = ladder();
         let opts = FwOptions::default();
-        let cold = anarchy_curve_network(&inst, &alphas(), &opts, false).unwrap();
-        let warm = anarchy_curve_network(&inst, &alphas(), &opts, true).unwrap();
+        let cold = anarchy_curve_multi(
+            &inst,
+            &alphas(),
+            &opts,
+            &CurveOptions {
+                strategy: CurveStrategy::Strong,
+                warm: false,
+            },
+        )
+        .unwrap();
+        let warm = anarchy_curve_multi(&inst, &alphas(), &opts, &CurveOptions::default()).unwrap();
         assert_eq!(cold.points.len(), warm.points.len());
         for (a, b) in cold.points.iter().zip(&warm.points) {
             assert!((a.cost - b.cost).abs() < 1e-5, "α={}", a.alpha);

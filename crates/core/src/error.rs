@@ -1,9 +1,9 @@
 //! Typed failure modes of the paper's algorithms.
 //!
-//! The `try_` entry points ([`crate::mop::try_mop`],
-//! [`crate::mop_multi::try_mop_multi`], [`crate::optop::try_optop`],
-//! [`crate::tolls::try_marginal_cost_tolls_network`]) return these instead
-//! of panicking; the panicking wrappers (`mop`, `optop`, …) stay as thin
+//! The `try_` entry points ([`crate::mop_multi::try_mop_multi`],
+//! [`crate::optop::try_optop`],
+//! [`crate::tolls::try_marginal_cost_tolls_multi`]) return these instead
+//! of panicking; the panicking wrappers (`mop_multi`, `optop`, …) stay as thin
 //! conveniences for exploratory code. Downstream, `stackopt::api` folds
 //! both this and [`sopt_solver::equalize::EqualizeError`] into its single
 //! `SoptError`.

@@ -5,8 +5,7 @@
 //! | Paper artefact | Module |
 //! |---|---|
 //! | Algorithm **OpTop** + Corollary 2.2 (minimum Leader portion `β_M` and optimal strategy on parallel links) | [`optop`](mod@optop) |
-//! | Algorithm **MOP** + Corollary 2.3 (s–t networks) | [`mop`](mod@mop) |
-//! | Theorem 2.1 (k commodities) | [`mop_multi`](mod@mop_multi) |
+//! | Algorithm **MOP**: Theorem 2.1 (k commodities), Corollary 2.3 (s–t networks, `k = 1`) | [`mop_multi`](mod@mop_multi) |
 //! | Theorem 2.4 (poly-time optimal strategy for `α < β_M`, common-slope linear links) | [`linear_optimal`] |
 //! | Lemma 6.1 (swap argument, Figs. 8–10) | [`theorems`] |
 //! | Proposition 7.1, Theorem 7.2, Theorem 7.4/Lemma 7.5 | [`theorems`] |
@@ -21,7 +20,8 @@
 //!   control to *enforce the optimum* on a parallel-links instance, with her
 //!   optimal strategy; polynomial time (Corollary 2.2), eluding the weak
 //!   NP-hardness of general optimal-Stackelberg ([40, Thm 6.1]);
-//! * [`mop::mop`] — the same on arbitrary s–t networks (Corollary 2.3);
+//! * [`mop_multi::mop_multi`] — the same on arbitrary s–t networks
+//!   (Corollary 2.3) and k-commodity networks (Theorem 2.1);
 //! * [`linear_optimal::linear_optimal_strategy`] — the optimal strategy on
 //!   the *hard* side `α < β_M` for common-slope linear latencies.
 
@@ -31,7 +31,8 @@ pub mod curve;
 pub mod error;
 pub mod linear_optimal;
 pub mod llf;
-pub mod mop;
+#[cfg(test)]
+mod mop;
 pub mod mop_multi;
 pub mod optop;
 pub mod scale;
@@ -41,10 +42,9 @@ pub mod threshold;
 pub mod tolls;
 
 pub use curve::{
-    anarchy_curve_multi, anarchy_curve_network, CurveOptions, CurvePlan, CurveStrategy,
-    NetworkAnarchyCurve, NetworkCurvePoint,
+    anarchy_curve_multi, CurveOptions, CurvePlan, CurveStrategy, NetworkAnarchyCurve,
+    NetworkCurvePoint,
 };
 pub use error::CoreError;
-pub use mop::{mop, try_mop, try_mop_with_optimum, MopResult};
 pub use mop_multi::{mop_multi, try_mop_multi, try_mop_multi_with_optimum, MopMultiResult};
 pub use optop::{optop, try_optop, OpTopResult};

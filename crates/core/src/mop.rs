@@ -1,171 +1,14 @@
-//! Algorithm **MOP** (paper §2, Corollary 2.3): the price of optimum on an
-//! arbitrary s–t network.
-//!
-//! ```text
-//! (1) S = {}, r_S = 0.
-//! (2) Compute the optimum O on (G, r).
-//! (3) Set cost ℓ_e(o_e) on each edge.
-//! (4) Compute the shortest paths P^O_{s→t} under those costs.
-//! (5) Control the flow O_P > 0 of every non-shortest path P ∉ P^O_{s→t}.
-//! (6) r' = the uncontrolled flow riding shortest paths.
-//! (7) β_G = 1 − r'/r.
-//! ```
-//!
-//! §5.1 argues the Leader must control exactly the optimal flow on every
-//! non-shortest path: controlling less leaks flow to shortest paths,
-//! controlling more (or touching shortest paths) also breaks `S + T = O`.
-//! Path decompositions of `O` are not unique, so the minimum `β_G`
-//! corresponds to the decomposition that routes as much of `O` as possible
-//! over shortest paths — exactly the max flow through the shortest-path
-//! subnetwork `G̃` with capacities `o_e` (footnote 5 computes the free flow
-//! through `G̃`; Dinic makes that exact). The greedy-decomposition variant
-//! [`mop_greedy`] is kept as the ablation baseline.
+//! MOP on s–t networks (Corollary 2.3): the one-commodity case of
+//! [`mop_multi`](crate::mop_multi), checked against the paper's Fig. 7.
 
-use crate::error::CoreError;
-use sopt_equilibrium::network::try_network_optimum;
-use sopt_network::flow::{decompose, EdgeFlow};
-use sopt_network::graph::EdgeId;
-use sopt_network::instance::NetworkInstance;
-use sopt_network::maxflow::max_flow;
-use sopt_network::spath::{dijkstra, shortest_dag_edges};
-use sopt_solver::frank_wolfe::{FwOptions, FwResult};
-
-/// Output of [`mop`] / [`mop_greedy`].
-#[derive(Clone, Debug)]
-pub struct MopResult {
-    /// The price of optimum `β_G = 1 − r'/r`.
-    pub beta: f64,
-    /// The optimum edge flow `O`.
-    pub optimum: EdgeFlow,
-    /// Edge costs `ℓ_e(o_e)` fixing the shortest-path structure.
-    pub edge_costs: Vec<f64>,
-    /// Edges of the shortest-path subnetwork `G̃`.
-    pub shortest_edges: Vec<EdgeId>,
-    /// The free (uncontrolled) part of `O` riding shortest paths; value `r'`.
-    pub free_flow: EdgeFlow,
-    /// `r'`.
-    pub free_value: f64,
-    /// The Leader's strategy `S = O − free`; value `r − r'`.
-    pub leader: EdgeFlow,
-    /// `r − r'` (the controlled flow `β_G·r`).
-    pub leader_value: f64,
-    /// `C(O)` — the cost the strategy enforces.
-    pub optimum_cost: f64,
-}
-
-/// Tolerance for shortest-path membership, relative to path costs.
-const DAG_TOL: f64 = 1e-6;
-
-/// Run MOP with the exact (max-flow) free-flow computation. Panics where
-/// [`try_mop`] errors.
-pub fn mop(inst: &NetworkInstance, opts: &FwOptions) -> MopResult {
-    try_mop(inst, opts).expect("MOP needs a convergent optimum solve and a reachable sink")
-}
-
-/// Run MOP, reporting solver non-convergence and unreachable sinks as
-/// typed errors instead of panicking.
-pub fn try_mop(inst: &NetworkInstance, opts: &FwOptions) -> Result<MopResult, CoreError> {
-    let opt = try_network_optimum(inst, opts, None)?;
-    try_mop_with_optimum(inst, &opt)
-}
-
-/// [`try_mop`] with the optimum solve supplied by the caller — the session
-/// layer threads a memoized [`network_optimum`] result through here, so an
-/// α-sweep (or a fleet re-touching one scenario) solves the optimum once.
-///
-/// [`network_optimum`]: sopt_equilibrium::network::network_optimum
-pub fn try_mop_with_optimum(
-    inst: &NetworkInstance,
-    optimum: &FwResult,
-) -> Result<MopResult, CoreError> {
-    mop_impl(inst, optimum, true)
-}
-
-/// Ablation: route the free flow by greedy path decomposition of `O`
-/// (classify each extracted path as shortest/non-shortest). May overstate
-/// `β_G` when the greedy decomposition wastes shortest-path capacity.
-pub fn mop_greedy(inst: &NetworkInstance, opts: &FwOptions) -> MopResult {
-    try_network_optimum(inst, opts, None)
-        .map_err(CoreError::from)
-        .and_then(|opt| mop_impl(inst, &opt, false))
-        .expect("MOP needs a convergent optimum solve and a reachable sink")
-}
-
-fn mop_impl(inst: &NetworkInstance, opt: &FwResult, exact: bool) -> Result<MopResult, CoreError> {
-    // (2) the optimum (solved by the caller, possibly served from a memo).
-    if !opt.converged {
-        return Err(CoreError::NotConverged {
-            what: "optimum",
-            rel_gap: opt.rel_gap,
-        });
-    }
-    let optimum = opt.flow.clone();
-
-    // (3) fixed optimal edge costs.
-    let edge_costs = inst.edge_costs(optimum.as_slice());
-
-    // (4) shortest-path subnetwork under those costs.
-    let sp = dijkstra(&inst.graph, &edge_costs, inst.source);
-    let dist_t = sp.dist[inst.sink.idx()];
-    if !dist_t.is_finite() {
-        return Err(CoreError::Unreachable { commodity: 0 });
-    }
-    let tol = DAG_TOL * dist_t.abs().max(1.0);
-    let shortest_edges = shortest_dag_edges(&inst.graph, &edge_costs, &sp, tol);
-
-    // (5)–(6) the free flow r' riding shortest paths.
-    let free_flow = if exact {
-        // Max flow through G̃ with capacities o_e: the decomposition of O
-        // maximising the uncontrolled portion.
-        let mut caps = vec![0.0; inst.num_edges()];
-        for &e in &shortest_edges {
-            caps[e.idx()] = optimum.get(e);
-        }
-        max_flow(&inst.graph, &caps, inst.source, inst.sink).flow
-    } else {
-        // Greedy: decompose O and keep the shortest-path pieces.
-        let decomp = decompose(&inst.graph, &optimum, inst.source, inst.sink);
-        let mut free = EdgeFlow::zeros(inst.num_edges());
-        for (path, amount) in &decomp.paths {
-            if (path.cost(&edge_costs) - dist_t).abs() <= tol {
-                free.add_path(path, *amount);
-            }
-        }
-        free
-    };
-    let free_value = free_flow.excess(&inst.graph, inst.sink);
-
-    // (5) the Leader controls the rest of O.
-    let leader = EdgeFlow(
-        optimum
-            .as_slice()
-            .iter()
-            .zip(free_flow.as_slice())
-            .map(|(o, f)| (o - f).max(0.0))
-            .collect(),
-    );
-    let leader_value = (inst.rate - free_value).max(0.0);
-
-    Ok(MopResult {
-        beta: leader_value / inst.rate,
-        optimum_cost: inst.cost(optimum.as_slice()),
-        optimum,
-        edge_costs,
-        shortest_edges,
-        free_flow,
-        free_value,
-        leader,
-        leader_value,
-    })
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use sopt_equilibrium::network::induced_network;
+    use crate::mop_multi::mop_multi;
+    use sopt_equilibrium::network::induced_multicommodity;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
+    use sopt_network::instance::{Network, NetworkInstance};
     use sopt_network::DiGraph;
+    use sopt_solver::frank_wolfe::FwOptions;
 
     /// The paper's Fig. 7 instance (derived affine form, see DESIGN.md):
     /// `ℓ_sv = ℓ_wt = x`, `ℓ_sw = ℓ_vt = x + 1 − 4ε`, `ℓ_vw = 0`, `r = 1`.
@@ -195,8 +38,8 @@ mod tests {
     #[test]
     fn fig7_optimal_flows_match_paper() {
         let eps = 0.05;
-        let r = mop(&fig7(eps), &FwOptions::default());
-        let o = r.optimum.as_slice();
+        let r = mop_multi(&fig7(eps), &FwOptions::default());
+        let o = r.optimum_total.as_slice();
         let expect = [
             0.75 - eps,
             0.25 + eps,
@@ -212,7 +55,7 @@ mod tests {
     #[test]
     fn fig7_beta_is_half_plus_two_eps() {
         for &eps in &[0.0, 0.01, 0.05, 0.1] {
-            let r = mop(&fig7(eps), &FwOptions::default());
+            let r = mop_multi(&fig7(eps), &FwOptions::default());
             let want = 0.5 + 2.0 * eps;
             assert!(
                 (r.beta - want).abs() < 1e-4,
@@ -220,15 +63,19 @@ mod tests {
                 r.beta
             );
             // The shortest path is the middle path with flow 1/2 − 2ε.
-            assert!((r.free_value - (0.5 - 2.0 * eps)).abs() < 1e-4);
+            assert!((r.commodities[0].free_value - (0.5 - 2.0 * eps)).abs() < 1e-4);
         }
     }
 
     #[test]
     fn fig7_middle_path_is_shortest() {
-        let r = mop(&fig7(0.05), &FwOptions::default());
+        let r = mop_multi(&fig7(0.05), &FwOptions::default());
         // Shortest subnetwork must contain s→v, v→w, w→t; not s→w or v→t.
-        let ids: Vec<u32> = r.shortest_edges.iter().map(|e| e.0).collect();
+        let ids: Vec<u32> = r.commodities[0]
+            .shortest_edges
+            .iter()
+            .map(|e| e.0)
+            .collect();
         assert!(
             ids.contains(&0) && ids.contains(&2) && ids.contains(&4),
             "{ids:?}"
@@ -239,10 +86,12 @@ mod tests {
     #[test]
     fn fig7_strategy_induces_optimum() {
         let inst = fig7(0.05);
-        let r = mop(&inst, &FwOptions::default());
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &FwOptions::default());
+        let r = mop_multi(&inst, &FwOptions::default());
+        let values = [r.commodities[0].leader_value];
+        let follower =
+            induced_multicommodity(&inst, &r.leader_total, &values, &FwOptions::default());
         let total: Vec<f64> = r
-            .leader
+            .leader_total
             .as_slice()
             .iter()
             .zip(follower.flow.as_slice())
@@ -269,11 +118,11 @@ mod tests {
             NodeId(1),
             1.0,
         );
-        let r = mop(&inst, &FwOptions::default());
+        let r = mop_multi(&inst, &FwOptions::default());
         assert!((r.beta - 0.5).abs() < 1e-5, "β = {}", r.beta);
         // Leader controls the slow edge at its optimal load.
-        assert!((r.leader.0[1] - 0.5).abs() < 1e-5);
-        assert!(r.leader.0[0].abs() < 1e-5);
+        assert!((r.leader_total.0[1] - 0.5).abs() < 1e-5);
+        assert!(r.leader_total.0[0].abs() < 1e-5);
     }
 
     #[test]
@@ -289,51 +138,46 @@ mod tests {
             NodeId(2),
             1.0,
         );
-        let r = mop(&inst, &FwOptions::default());
+        let r = mop_multi(&inst, &FwOptions::default());
         assert!(r.beta.abs() < 1e-6, "β = {}", r.beta);
-        assert!(r.leader.as_slice().iter().all(|x| x.abs() < 1e-6));
-    }
-
-    #[test]
-    fn exact_beta_never_exceeds_greedy() {
-        for &eps in &[0.0, 0.05] {
-            let inst = fig7(eps);
-            let exact = mop(&inst, &FwOptions::default());
-            let greedy = mop_greedy(&inst, &FwOptions::default());
-            assert!(exact.beta <= greedy.beta + 1e-9);
-        }
+        assert!(r.leader_total.as_slice().iter().all(|x| x.abs() < 1e-6));
     }
 
     #[test]
     fn mop_with_supplied_optimum_matches() {
-        use sopt_equilibrium::network::try_network_optimum;
+        use crate::mop_multi::try_mop_multi_with_optimum;
+        use sopt_equilibrium::network::try_multicommodity_optimum;
         let inst = fig7(0.05);
         let opts = FwOptions::default();
-        let opt = try_network_optimum(&inst, &opts, None).unwrap();
-        let via_supplied = try_mop_with_optimum(&inst, &opt).unwrap();
-        let direct = mop(&inst, &opts);
+        let opt = try_multicommodity_optimum(&inst, &opts, None).unwrap();
+        let via_supplied = try_mop_multi_with_optimum(&inst, &opt).unwrap();
+        let direct = mop_multi(&inst, &opts);
         assert_eq!(via_supplied.beta, direct.beta);
-        assert_eq!(via_supplied.optimum.as_slice(), direct.optimum.as_slice());
+        assert_eq!(
+            via_supplied.optimum_total.as_slice(),
+            direct.optimum_total.as_slice()
+        );
     }
 
     #[test]
     fn induced_seeded_with_free_flow_converges_immediately() {
-        use sopt_equilibrium::network::{try_induced_network, warm_seed_from};
+        use sopt_equilibrium::network::{try_induced_multicommodity, warm_seed_from_per};
         let inst = fig7(0.05);
         let opts = FwOptions::default();
-        let r = mop(&inst, &opts);
+        let r = mop_multi(&inst, &opts);
+        let values = [r.commodities[0].leader_value];
         // The free flow IS the follower equilibrium under the MOP strategy;
         // seeding with it should converge on the first gap check.
-        let seed = warm_seed_from(&r.free_flow);
-        let warm =
-            try_induced_network(&inst, &r.leader, r.leader_value, &opts, Some(&seed)).unwrap();
+        let seed = warm_seed_from_per(vec![r.commodities[0].free_flow.clone()]);
+        let warm = try_induced_multicommodity(&inst, &r.leader_total, &values, &opts, Some(&seed))
+            .unwrap();
         assert!(warm.converged);
         assert!(
             warm.iterations <= 2,
             "warm induced took {} iterations",
             warm.iterations
         );
-        let cold = induced_network(&inst, &r.leader, r.leader_value, &opts);
+        let cold = induced_multicommodity(&inst, &r.leader_total, &values, &opts);
         assert!(cold.iterations >= warm.iterations);
         for e in 0..inst.num_edges() {
             assert!((warm.flow.0[e] - cold.flow.0[e]).abs() < 1e-5);
@@ -343,12 +187,13 @@ mod tests {
     #[test]
     fn leader_flow_is_feasible() {
         let inst = fig7(0.02);
-        let r = mop(&inst, &FwOptions::default());
-        assert!(r
+        let r = mop_multi(&inst, &FwOptions::default());
+        let c = &r.commodities[0];
+        assert!(c
             .leader
-            .is_st_flow(&inst.graph, inst.source, inst.sink, r.leader_value, 1e-4));
-        assert!(r
+            .is_st_flow(&inst.graph, inst.source, inst.sink, c.leader_value, 1e-4));
+        assert!(c
             .free_flow
-            .is_st_flow(&inst.graph, inst.source, inst.sink, r.free_value, 1e-4));
+            .is_st_flow(&inst.graph, inst.source, inst.sink, c.free_value, 1e-4));
     }
 }

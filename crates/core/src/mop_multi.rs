@@ -1,18 +1,33 @@
-//! Theorem 2.1: the price of optimum on arbitrary k-commodity networks.
+//! Algorithm **MOP** (paper §2): the price of optimum on an arbitrary
+//! k-commodity network (Theorem 2.1). An s–t network is the `k = 1` case
+//! (Corollary 2.3) and runs through the same code.
 //!
-//! Per §5.1: on each commodity `i`, compute the shortest-path set
-//! `P^{O,(i)}` under the optimal edge costs `ℓ_e(o_e)`; the Leader must
-//! control the optimal flow of every non-shortest path of every commodity —
-//! no more (wasted control breaks `S+T = O`), no less (leaked flow opts for
-//! shortest paths). The free flow of commodity `i` is the largest part of
-//! its optimal flow `O^i` routable inside its shortest-path subnetwork
-//! (max-flow with capacities `o^i_e`). The result is a *strong* Stackelberg
-//! strategy: per-commodity portions `α_i` with overall `β = Σ α_i r_i / r`.
+//! ```text
+//! (1) S = {}, r_S = 0.
+//! (2) Compute the optimum O on (G, r).
+//! (3) Set cost ℓ_e(o_e) on each edge.
+//! (4) Per commodity i, compute the shortest paths P^{O,(i)} under those costs.
+//! (5) Control the flow O_P > 0 of every non-shortest path P ∉ P^{O,(i)}.
+//! (6) r'_i = the uncontrolled flow of commodity i riding shortest paths.
+//! (7) β = Σ (r_i − r'_i) / Σ r_i.
+//! ```
+//!
+//! §5.1 argues the Leader must control exactly the optimal flow on every
+//! non-shortest path of every commodity: controlling less leaks flow to
+//! shortest paths, controlling more (or touching shortest paths) breaks
+//! `S + T = O`. Path decompositions of `O^i` are not unique, so the minimum
+//! `β` corresponds to the decomposition that routes as much of `O^i` as
+//! possible over shortest paths — exactly the max flow through commodity
+//! `i`'s shortest-path subnetwork `G̃_i` with capacities `o^i_e`
+//! (footnote 5 computes the free flow through `G̃`; Dinic makes that
+//! exact). The result is a *strong* Stackelberg strategy: per-commodity
+//! portions `α_i` with overall `β = Σ α_i r_i / r`.
 
 use crate::error::CoreError;
 use sopt_equilibrium::network::try_multicommodity_optimum;
 use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::MultiCommodityInstance;
+use sopt_network::graph::EdgeId;
+use sopt_network::instance::Network;
 use sopt_network::maxflow::max_flow;
 use sopt_network::spath::{dijkstra, shortest_dag_edges};
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
@@ -22,6 +37,9 @@ use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 pub struct MopCommodity {
     /// This commodity's optimal edge flow `O^i`.
     pub optimum: EdgeFlow,
+    /// Edges of this commodity's shortest-path subnetwork `G̃_i` under the
+    /// optimal edge costs.
+    pub shortest_edges: Vec<EdgeId>,
     /// The free part riding this commodity's shortest paths.
     pub free_flow: EdgeFlow,
     /// Value `r'_i` of the free part.
@@ -55,59 +73,59 @@ const DAG_TOL: f64 = 1e-6;
 
 /// Run the k-commodity MOP of Theorem 2.1. Panics where [`try_mop_multi`]
 /// errors.
-pub fn mop_multi(inst: &MultiCommodityInstance, opts: &FwOptions) -> MopMultiResult {
+pub fn mop_multi(inst: &impl Network, opts: &FwOptions) -> MopMultiResult {
     try_mop_multi(inst, opts)
         .expect("MOP needs a convergent optimum solve and reachable sinks for every commodity")
 }
 
 /// Run the k-commodity MOP of Theorem 2.1, reporting solver
 /// non-convergence and unreachable sinks as typed errors.
-pub fn try_mop_multi(
-    inst: &MultiCommodityInstance,
-    opts: &FwOptions,
-) -> Result<MopMultiResult, CoreError> {
+pub fn try_mop_multi(inst: &impl Network, opts: &FwOptions) -> Result<MopMultiResult, CoreError> {
     let opt = try_multicommodity_optimum(inst, opts, None)?;
     try_mop_multi_with_optimum(inst, &opt)
 }
 
 /// [`try_mop_multi`] with the optimum solve supplied by the caller (the
-/// session layer threads a memoized multicommodity optimum through here).
+/// session layer threads a memoized optimum through here, so an α-sweep or
+/// a fleet re-touching one scenario solves the optimum once).
 pub fn try_mop_multi_with_optimum(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     opt: &FwResult,
 ) -> Result<MopMultiResult, CoreError> {
+    // (2) the optimum (solved by the caller, possibly served from a memo).
     if !opt.converged {
         return Err(CoreError::NotConverged {
-            what: "multicommodity optimum",
+            what: "optimum",
             rel_gap: opt.rel_gap,
         });
     }
-    let edge_costs: Vec<f64> = inst
-        .latencies
-        .iter()
-        .zip(opt.flow.as_slice())
-        .map(|(l, &f)| sopt_latency::Latency::value(l, f))
-        .collect();
+    // (3) fixed optimal edge costs.
+    let edge_costs = inst.edge_costs(opt.flow.as_slice());
 
-    let m = inst.graph.num_edges();
-    let mut commodities = Vec::with_capacity(inst.commodities.len());
+    let graph = inst.graph();
+    let demands = inst.demands();
+    let m = graph.num_edges();
+    let mut commodities = Vec::with_capacity(demands.len());
     let mut leader_total = EdgeFlow::zeros(m);
 
-    for (ci, com) in inst.commodities.iter().enumerate() {
+    for (ci, com) in demands.enumerate() {
+        // (4) this commodity's shortest-path subnetwork under those costs.
         let o_i = &opt.per_commodity[ci];
-        let sp = dijkstra(&inst.graph, &edge_costs, com.source);
+        let sp = dijkstra(graph, &edge_costs, com.source);
         let dist = sp.dist[com.sink.idx()];
         if !dist.is_finite() {
             return Err(CoreError::Unreachable { commodity: ci });
         }
         let tol = DAG_TOL * dist.abs().max(1.0);
-        let dag = shortest_dag_edges(&inst.graph, &edge_costs, &sp, tol);
+        let shortest_edges = shortest_dag_edges(graph, &edge_costs, &sp, tol);
 
+        // (5)–(6) the free flow r'_i: max flow through G̃_i with
+        // capacities o^i_e; the Leader controls the rest of O^i.
         let mut caps = vec![0.0; m];
-        for &e in &dag {
+        for &e in &shortest_edges {
             caps[e.idx()] = o_i.get(e);
         }
-        let free = max_flow(&inst.graph, &caps, com.source, com.sink);
+        let free = max_flow(graph, &caps, com.source, com.sink);
         let leader = EdgeFlow(
             o_i.as_slice()
                 .iter()
@@ -121,6 +139,7 @@ pub fn try_mop_multi_with_optimum(
         }
         commodities.push(MopCommodity {
             optimum: o_i.clone(),
+            shortest_edges,
             free_value: free.value,
             free_flow: free.flow,
             leader,
@@ -156,7 +175,7 @@ mod tests {
     use sopt_equilibrium::network::induced_multicommodity;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
-    use sopt_network::instance::Commodity;
+    use sopt_network::instance::{Commodity, MultiCommodityInstance, NetworkInstance};
     use sopt_network::DiGraph;
 
     /// Two Pigou gadgets sharing nothing: per-commodity β must match the
@@ -301,10 +320,11 @@ mod tests {
             }],
         );
         let multi = mop_multi(&mc, &FwOptions::default());
-        let single = crate::mop::mop(
-            &sopt_network::instance::NetworkInstance::new(g, latencies, NodeId(0), NodeId(1), 1.0),
+        let single = mop_multi(
+            &NetworkInstance::new(g, latencies, NodeId(0), NodeId(1), 1.0),
             &FwOptions::default(),
         );
-        assert!((multi.beta - single.beta).abs() < 1e-6);
+        // An s–t instance is the same one-commodity network, bit for bit.
+        assert_eq!(multi.beta, single.beta);
     }
 }

@@ -75,7 +75,7 @@ pub fn optop(links: &ParallelLinks) -> OpTopResult {
 pub fn try_optop(links: &ParallelLinks) -> Result<OpTopResult, EqualizeError> {
     let m = links.m();
     let r0 = links.rate();
-    let tol = LOAD_TOL * r0.max(1.0);
+    let tol = LOAD_TOL * r0;
 
     // Step (1): the global optimum, fixed once.
     let optimum = links.try_optimum()?.flows().to_vec();

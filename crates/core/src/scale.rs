@@ -4,7 +4,7 @@
 
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::NetworkInstance;
+use sopt_network::instance::Network;
 use sopt_solver::frank_wolfe::FwOptions;
 
 /// SCALE on parallel links: `s_i = α·o_i`.
@@ -20,15 +20,15 @@ pub fn scale(links: &ParallelLinks, alpha: f64) -> (Vec<f64>, f64) {
     (s, c)
 }
 
-/// SCALE on an s–t network: the Leader ships `α·O` (edge-wise), the
-/// followers route `(1−α)r` against the a-posteriori latencies. Returns
-/// `(leader flow, induced total cost)`.
-pub fn scale_network(inst: &NetworkInstance, alpha: f64, opts: &FwOptions) -> (EdgeFlow, f64) {
+/// SCALE on a network: the Leader ships `α·O` (edge-wise, so `α·r_i` of
+/// every commodity), the followers route the rest against the
+/// a-posteriori latencies. Returns `(leader flow, induced total cost)`.
+pub fn scale_network(inst: &impl Network, alpha: f64, opts: &FwOptions) -> (EdgeFlow, f64) {
     assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
-    let opt = sopt_equilibrium::network::network_optimum(inst, opts);
+    let opt = sopt_equilibrium::network::multicommodity_optimum(inst, opts);
     let leader = EdgeFlow(opt.flow.as_slice().iter().map(|o| alpha * o).collect());
-    let follower =
-        sopt_equilibrium::network::induced_network(inst, &leader, alpha * inst.rate, opts);
+    let values: Vec<f64> = inst.demands().map(|c| alpha * c.rate).collect();
+    let follower = sopt_equilibrium::network::induced_multicommodity(inst, &leader, &values, opts);
     let total: Vec<f64> = leader
         .as_slice()
         .iter()

@@ -12,7 +12,7 @@
 
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::{Latency, LatencyFn};
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::{MultiCommodityInstance, Network};
 use sopt_solver::frank_wolfe::FwOptions;
 
 /// Per-link/edge marginal-cost tolls `τ = o·ℓ'(o)` at an optimum `o`.
@@ -79,69 +79,11 @@ pub fn try_marginal_cost_tolls_with_optimum(
     }
 }
 
-/// Marginal-cost tolls on a network instance.
-#[derive(Clone, Debug)]
-pub struct NetworkTolls {
-    /// Per-edge tolls `τ_e = o_e·ℓ'_e(o_e)`.
-    pub tolls: Vec<f64>,
-    /// The tolled instance.
-    pub tolled: NetworkInstance,
-    /// The optimum of the untolled instance.
-    pub optimum: Vec<f64>,
-    /// Total revenue.
-    pub revenue: f64,
-}
-
-/// Compute marginal-cost edge tolls for `(G, r)`. Panics where
-/// [`try_marginal_cost_tolls_network`] errors.
-pub fn marginal_cost_tolls_network(inst: &NetworkInstance, opts: &FwOptions) -> NetworkTolls {
-    try_marginal_cost_tolls_network(inst, opts).expect("tolls need a convergent optimum solve")
-}
-
-/// Compute marginal-cost edge tolls for `(G, r)`, reporting solver
-/// non-convergence as a typed error.
-pub fn try_marginal_cost_tolls_network(
-    inst: &NetworkInstance,
-    opts: &FwOptions,
-) -> Result<NetworkTolls, crate::error::CoreError> {
-    let opt = sopt_equilibrium::network::try_network_optimum(inst, opts, None)?;
-    try_marginal_cost_tolls_network_with_optimum(inst, &opt)
-}
-
-/// [`try_marginal_cost_tolls_network`] with the optimum solve supplied by
-/// the caller (the session layer threads a memoized optimum through here).
-pub fn try_marginal_cost_tolls_network_with_optimum(
-    inst: &NetworkInstance,
-    opt: &sopt_solver::frank_wolfe::FwResult,
-) -> Result<NetworkTolls, crate::error::CoreError> {
-    if !opt.converged {
-        return Err(crate::error::CoreError::NotConverged {
-            what: "optimum",
-            rel_gap: opt.rel_gap,
-        });
-    }
-    let optimum = opt.flow.as_slice().to_vec();
-    let tolls = tolls_at(&inst.latencies, &optimum);
-    let tolled = NetworkInstance::new(
-        inst.graph.clone(),
-        tolled_latencies(&inst.latencies, &tolls),
-        inst.source,
-        inst.sink,
-        inst.rate,
-    );
-    let revenue = optimum.iter().zip(&tolls).map(|(o, t)| o * t).sum();
-    Ok(NetworkTolls {
-        tolls,
-        tolled,
-        optimum,
-        revenue,
-    })
-}
-
-/// Marginal-cost tolls on a k-commodity instance. The fixed-point argument
-/// is commodity-agnostic: tolling every edge its externality `o·ℓ'(o)` at
-/// the *combined* optimum makes the multicommodity Wardrop equilibrium of
-/// the tolled instance coincide with the untolled optimum.
+/// Marginal-cost tolls on a k-commodity instance (an s–t instance is the
+/// one-commodity case). The fixed-point argument is commodity-agnostic:
+/// tolling every edge its externality `o·ℓ'(o)` at the *combined* optimum
+/// makes the multicommodity Wardrop equilibrium of the tolled instance
+/// coincide with the untolled optimum.
 #[derive(Clone, Debug)]
 pub struct MultiTolls {
     /// Per-edge tolls `τ_e = o_e·ℓ'_e(o_e)`.
@@ -157,7 +99,7 @@ pub struct MultiTolls {
 /// Compute marginal-cost edge tolls for a k-commodity instance, reporting
 /// solver non-convergence as a typed error.
 pub fn try_marginal_cost_tolls_multi(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     opts: &FwOptions,
 ) -> Result<MultiTolls, crate::error::CoreError> {
     let opt = sopt_equilibrium::network::try_multicommodity_optimum(inst, opts, None)?;
@@ -167,7 +109,7 @@ pub fn try_marginal_cost_tolls_multi(
 /// [`try_marginal_cost_tolls_multi`] with the optimum solve supplied by
 /// the caller (the session layer threads a memoized optimum through here).
 pub fn try_marginal_cost_tolls_multi_with_optimum(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     opt: &sopt_solver::frank_wolfe::FwResult,
 ) -> Result<MultiTolls, crate::error::CoreError> {
     if !opt.converged {
@@ -177,11 +119,11 @@ pub fn try_marginal_cost_tolls_multi_with_optimum(
         });
     }
     let optimum = opt.flow.as_slice().to_vec();
-    let tolls = tolls_at(&inst.latencies, &optimum);
+    let tolls = tolls_at(inst.latencies(), &optimum);
     let tolled = MultiCommodityInstance::new(
-        inst.graph.clone(),
-        tolled_latencies(&inst.latencies, &tolls),
-        inst.commodities.clone(),
+        inst.graph().clone(),
+        tolled_latencies(inst.latencies(), &tolls),
+        inst.demands().collect(),
     );
     let revenue = optimum.iter().zip(&tolls).map(|(o, t)| o * t).sum();
     Ok(MultiTolls {
@@ -195,8 +137,9 @@ pub fn try_marginal_cost_tolls_multi_with_optimum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_equilibrium::network::network_nash;
+    use sopt_equilibrium::network::multicommodity_nash;
     use sopt_network::graph::NodeId;
+    use sopt_network::instance::NetworkInstance;
     use sopt_network::DiGraph;
 
     #[test]
@@ -279,13 +222,13 @@ mod tests {
             1.0,
         );
         let opts = FwOptions::default();
-        let t = marginal_cost_tolls_network(&inst, &opts);
+        let t = try_marginal_cost_tolls_multi(&inst, &opts).unwrap();
         // Tolls τ = o·ℓ': 1/2 on each x-edge, 0 on constants.
         assert!((t.tolls[0] - 0.5).abs() < 1e-5);
         assert!((t.tolls[4] - 0.5).abs() < 1e-5);
         assert!(t.tolls[1].abs() < 1e-9 && t.tolls[2].abs() < 1e-9);
         // The tolled Nash avoids the middle edge, restoring C(O) = 3/2.
-        let nash = network_nash(&t.tolled, &opts);
+        let nash = multicommodity_nash(&t.tolled, &opts);
         assert!(nash.flow.0[2].abs() < 1e-5, "{:?}", nash.flow);
         assert!((inst.cost(nash.flow.as_slice()) - 1.5).abs() < 1e-5);
     }

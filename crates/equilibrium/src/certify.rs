@@ -13,7 +13,7 @@
 
 use sopt_latency::LatencyFn;
 use sopt_network::flow::{decompose, EdgeFlow};
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::{Network, NetworkInstance};
 use sopt_network::spath::dijkstra;
 use sopt_solver::objective::CostModel;
 
@@ -128,39 +128,32 @@ pub fn certify_network(
     model: CostModel,
     tol: f64,
 ) -> Result<(), CertifyError> {
-    let mc = MultiCommodityInstance {
-        graph: inst.graph.clone(),
-        latencies: inst.latencies.clone(),
-        commodities: vec![sopt_network::instance::Commodity {
-            source: inst.source,
-            sink: inst.sink,
-            rate: inst.rate,
-        }],
-    };
-    certify_multicommodity(&mc, std::slice::from_ref(flow), flow, model, tol)
+    certify_multicommodity(inst, std::slice::from_ref(flow), flow, model, tol)
 }
 
 /// Multicommodity version: `per_commodity[i]` is commodity `i`'s edge flow;
 /// `total` is their sum (congestion is shared).
 pub fn certify_multicommodity(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     per_commodity: &[EdgeFlow],
     total: &EdgeFlow,
     model: CostModel,
     tol: f64,
 ) -> Result<(), CertifyError> {
-    assert_eq!(per_commodity.len(), inst.commodities.len());
+    let demands = inst.demands();
+    assert_eq!(per_commodity.len(), demands.len());
+    let graph = inst.graph();
     let costs: Vec<f64> = inst
-        .latencies
+        .latencies()
         .iter()
         .zip(total.as_slice())
         .map(|(l, &f)| model.edge_gradient(l, f.max(0.0)))
         .collect();
 
-    for (ci, (flow, com)) in per_commodity.iter().zip(&inst.commodities).enumerate() {
+    for (ci, (flow, com)) in per_commodity.iter().zip(demands).enumerate() {
         // Conservation.
         if !flow.is_st_flow(
-            &inst.graph,
+            graph,
             com.source,
             com.sink,
             com.rate,
@@ -177,9 +170,9 @@ pub fn certify_multicommodity(
         if com.rate <= 0.0 {
             continue;
         }
-        let sp = dijkstra(&inst.graph, &costs, com.source);
+        let sp = dijkstra(graph, &costs, com.source);
         let dist = sp.dist[com.sink.idx()];
-        let decomp = decompose(&inst.graph, flow, com.source, com.sink);
+        let decomp = decompose(graph, flow, com.source, com.sink);
         if !decomp.cycles.is_empty() {
             let circ: f64 = decomp.cycles.iter().map(|(_, a)| a).sum();
             if circ > tol * com.rate.max(1.0) {
@@ -213,7 +206,7 @@ mod tests {
     use super::*;
     use sopt_network::graph::NodeId;
     use sopt_network::DiGraph;
-    use sopt_solver::frank_wolfe::{solve_assignment, FwOptions};
+    use sopt_solver::frank_wolfe::{solve_multicommodity, FwOptions};
 
     fn pigou_links() -> Vec<LatencyFn> {
         vec![LatencyFn::identity(), LatencyFn::constant(1.0)]
@@ -259,9 +252,9 @@ mod tests {
             1.0,
         );
         let opts = FwOptions::default();
-        let nash = solve_assignment(&inst, CostModel::Wardrop, &opts);
+        let nash = solve_multicommodity(&inst, CostModel::Wardrop, &opts);
         certify_network(&inst, &nash.flow, CostModel::Wardrop, 1e-5).expect("nash certified");
-        let opt = solve_assignment(&inst, CostModel::SystemOptimum, &opts);
+        let opt = solve_multicommodity(&inst, CostModel::SystemOptimum, &opts);
         certify_network(&inst, &opt.flow, CostModel::SystemOptimum, 1e-5)
             .expect("optimum certified");
         // Cross-check: the Nash flow is not optimal and vice versa.

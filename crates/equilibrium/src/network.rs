@@ -1,19 +1,16 @@
-//! Equilibria on arbitrary s–t and k-commodity networks (Frank–Wolfe).
+//! Equilibria on arbitrary k-commodity networks (Frank–Wolfe), read
+//! through the [`Network`] trait; an s–t instance is the one-commodity case.
 //!
-//! Every solve has three forms: the classic panicking convenience
-//! (`network_nash`), a `try_` variant surfacing the unreachable-sink
-//! failure as a typed [`SolverError`], and a warm-start parameter on the
-//! `try_` form — `seed` is a per-commodity flow set (usually the
-//! `per_commodity` of a previous [`FwResult`], or MOP's free flow for an
-//! induced solve) that skips the all-or-nothing bootstrap when the previous
-//! solution is close to the new one.
+//! Every solve comes as a panicking convenience (`multicommodity_nash`)
+//! and a `try_` variant that surfaces the unreachable-sink failure as a
+//! typed [`SolverError`] and takes a warm start: `seed` is a per-commodity
+//! flow set (usually the `per_commodity` of a previous [`FwResult`], or
+//! MOP's free flows for an induced solve).
 
 use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::{MultiCommodityInstance, Network};
 use sopt_solver::error::SolverError;
-use sopt_solver::frank_wolfe::{
-    try_solve_warm, try_solve_warm_multicommodity, FwOptions, FwResult,
-};
+use sopt_solver::frank_wolfe::{try_solve_warm_multicommodity, FwOptions, FwResult};
 use sopt_solver::objective::CostModel;
 
 /// Warm-start seed for the `try_` solves: per-commodity flows of a nearby
@@ -21,16 +18,10 @@ use sopt_solver::objective::CostModel;
 /// start).
 pub type WarmSeed<'a> = Option<&'a FwResult>;
 
-/// Wrap a bare edge flow as a single-commodity warm-start seed. Only the
-/// per-commodity flow matters to the seeded solver; the bookkeeping fields
-/// are placeholders (`converged = false`, no iterations). MOP uses this to
-/// seed the induced solve from its free flow.
-pub fn warm_seed_from(flow: &EdgeFlow) -> FwResult {
-    warm_seed_from_per(vec![flow.clone()])
-}
-
 /// Wrap per-commodity flows as a k-commodity warm-start seed (one
-/// [`EdgeFlow`] per commodity, in commodity order).
+/// [`EdgeFlow`] per commodity, in commodity order). Only the per-commodity
+/// flows matter to the seeded solver; the bookkeeping fields are
+/// placeholders (`converged = false`, no iterations).
 pub fn warm_seed_from_per(per: Vec<EdgeFlow>) -> FwResult {
     let m = per.first().map_or(0, |f| f.0.len());
     let mut combined = EdgeFlow::zeros(m);
@@ -51,76 +42,15 @@ pub fn warm_seed_from_per(per: Vec<EdgeFlow>) -> FwResult {
     }
 }
 
-/// Nash (Wardrop) flow of `(G, r)`: minimiser of the Beckmann potential.
-/// Panics where [`try_network_nash`] errors.
-pub fn network_nash(inst: &NetworkInstance, opts: &FwOptions) -> FwResult {
-    try_network_nash(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`network_nash`] with typed errors and an optional warm start.
-pub fn try_network_nash(
-    inst: &NetworkInstance,
-    opts: &FwOptions,
-    seed: WarmSeed<'_>,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm(inst, CostModel::Wardrop, opts, seed)
-}
-
-/// Optimum flow `O` of `(G, r)`: minimiser of total cost. Panics where
-/// [`try_network_optimum`] errors.
-pub fn network_optimum(inst: &NetworkInstance, opts: &FwOptions) -> FwResult {
-    try_network_optimum(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`network_optimum`] with typed errors and an optional warm start.
-pub fn try_network_optimum(
-    inst: &NetworkInstance,
-    opts: &FwOptions,
-    seed: WarmSeed<'_>,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm(inst, CostModel::SystemOptimum, opts, seed)
-}
-
-/// The equilibrium induced by a Leader edge flow: Followers route the
-/// remaining rate against a-posteriori latencies `ℓ_e(· + s_e)`.
-///
-/// `leader_value` is the s→t value of the Leader's flow (the amount
-/// subtracted from the follower rate). Returns the *follower* result; the
-/// Stackelberg equilibrium is `leader + follower`. Panics where
-/// [`try_induced_network`] errors.
-pub fn induced_network(
-    inst: &NetworkInstance,
-    leader: &EdgeFlow,
-    leader_value: f64,
-    opts: &FwOptions,
-) -> FwResult {
-    try_induced_network(inst, leader, leader_value, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`induced_network`] with typed errors and an optional warm start —
-/// chained α-sweeps seed each induced solve from the previous α's
-/// follower flow; MOP callers seed from the free flow (which *is* the
-/// induced equilibrium when the strategy enforces the optimum).
-pub fn try_induced_network(
-    inst: &NetworkInstance,
-    leader: &EdgeFlow,
-    leader_value: f64,
-    opts: &FwOptions,
-    seed: WarmSeed<'_>,
-) -> Result<FwResult, SolverError> {
-    let sub = inst.preloaded_with_value(leader.as_slice(), leader_value);
-    try_solve_warm(&sub, CostModel::Wardrop, opts, seed)
-}
-
 /// Nash flow of a k-commodity instance. Panics where
 /// [`try_multicommodity_nash`] errors.
-pub fn multicommodity_nash(inst: &MultiCommodityInstance, opts: &FwOptions) -> FwResult {
+pub fn multicommodity_nash(inst: &impl Network, opts: &FwOptions) -> FwResult {
     try_multicommodity_nash(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`multicommodity_nash`] with typed errors and an optional warm start.
 pub fn try_multicommodity_nash(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     opts: &FwOptions,
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
@@ -129,13 +59,13 @@ pub fn try_multicommodity_nash(
 
 /// Optimum flow of a k-commodity instance. Panics where
 /// [`try_multicommodity_optimum`] errors.
-pub fn multicommodity_optimum(inst: &MultiCommodityInstance, opts: &FwOptions) -> FwResult {
+pub fn multicommodity_optimum(inst: &impl Network, opts: &FwOptions) -> FwResult {
     try_multicommodity_optimum(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`multicommodity_optimum`] with typed errors and an optional warm start.
 pub fn try_multicommodity_optimum(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     opts: &FwOptions,
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
@@ -147,7 +77,7 @@ pub fn try_multicommodity_optimum(
 /// commodity's followers route the remainder selfishly. Panics where
 /// [`try_induced_multicommodity`] errors.
 pub fn induced_multicommodity(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     leader: &EdgeFlow,
     leader_values: &[f64],
     opts: &FwOptions,
@@ -158,25 +88,23 @@ pub fn induced_multicommodity(
 
 /// [`induced_multicommodity`] with typed errors and an optional warm start.
 pub fn try_induced_multicommodity(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     leader: &EdgeFlow,
     leader_values: &[f64],
     opts: &FwOptions,
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
-    assert_eq!(leader_values.len(), inst.commodities.len());
+    let demands = inst.demands();
+    assert_eq!(leader_values.len(), demands.len());
     let latencies = inst
-        .latencies
+        .latencies()
         .iter()
         .zip(leader.as_slice())
         .map(|(l, &s)| l.preloaded(s.max(0.0)))
         .collect();
-    let commodities = inst
-        .commodities
-        .iter()
+    let commodities = demands
         .zip(leader_values)
-        .map(|(c, &v)| {
-            let mut c = *c;
+        .map(|(mut c, &v)| {
             c.rate = (c.rate - v).max(0.0);
             c
         })
@@ -184,7 +112,7 @@ pub fn try_induced_multicommodity(
     // Rebuild without the >0-rate validation: fully-controlled commodities
     // legitimately drop to rate 0.
     let sub = MultiCommodityInstance {
-        graph: inst.graph.clone(),
+        graph: inst.graph().clone(),
         latencies,
         commodities,
     };
@@ -196,6 +124,7 @@ mod tests {
     use super::*;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
+    use sopt_network::instance::NetworkInstance;
     use sopt_network::DiGraph;
 
     /// Classic Braess instance (edges: s→v:x, s→w:1, v→w:0, v→t:1, w→t:x).
@@ -225,8 +154,8 @@ mod tests {
     fn braess_nash_vs_optimum_costs() {
         let inst = braess();
         let opts = FwOptions::default();
-        let n = network_nash(&inst, &opts);
-        let o = network_optimum(&inst, &opts);
+        let n = multicommodity_nash(&inst, &opts);
+        let o = multicommodity_optimum(&inst, &opts);
         assert!((inst.cost(n.flow.as_slice()) - 2.0).abs() < 1e-6);
         assert!((inst.cost(o.flow.as_slice()) - 1.5).abs() < 1e-6);
     }
@@ -236,8 +165,8 @@ mod tests {
         let inst = braess();
         let opts = FwOptions::default();
         let zero = EdgeFlow::zeros(inst.num_edges());
-        let ind = induced_network(&inst, &zero, 0.0, &opts);
-        let nash = network_nash(&inst, &opts);
+        let ind = induced_multicommodity(&inst, &zero, &[0.0], &opts);
+        let nash = multicommodity_nash(&inst, &opts);
         for e in 0..inst.num_edges() {
             assert!((ind.flow.0[e] - nash.flow.0[e]).abs() < 1e-5);
         }
@@ -249,7 +178,7 @@ mod tests {
         let opts = FwOptions::default();
         // Leader ships the whole unit on the two outer paths (optimum).
         let leader = EdgeFlow(vec![0.5, 0.5, 0.0, 0.5, 0.5]);
-        let ind = induced_network(&inst, &leader, 1.0, &opts);
+        let ind = induced_multicommodity(&inst, &leader, &[1.0], &opts);
         assert!(ind.flow.0.iter().all(|f| f.abs() < 1e-9));
     }
 
@@ -260,7 +189,7 @@ mod tests {
         let inst = braess();
         let opts = FwOptions::default();
         let leader = EdgeFlow(vec![0.25, 0.25, 0.0, 0.25, 0.25]);
-        let ind = induced_network(&inst, &leader, 0.5, &opts);
+        let ind = induced_multicommodity(&inst, &leader, &[0.5], &opts);
         assert!(ind.converged);
         // All follower flow uses the middle path.
         assert!((ind.flow.0[2] - 0.5).abs() < 1e-5, "{:?}", ind.flow);

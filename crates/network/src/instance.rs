@@ -2,14 +2,53 @@
 
 use sopt_latency::{Latency, LatencyFn};
 
-use crate::graph::{DiGraph, EdgeId, NodeId};
+use crate::graph::{DiGraph, NodeId};
+
+/// A routing network as the solvers read it: the graph, its per-edge
+/// latencies and the demand pairs. Both instance types lend their data
+/// without a copy, so an s–t instance runs through every k-commodity
+/// algorithm as the one-commodity case (the paper's Corollary 2.3 is the
+/// `k = 1` case of Theorem 2.1).
+pub trait Network {
+    /// The network.
+    fn graph(&self) -> &DiGraph;
+
+    /// Per-edge latency functions, indexed by [`EdgeId`](crate::graph::EdgeId).
+    fn latencies(&self) -> &[LatencyFn];
+
+    /// The demand pairs `(s_i, t_i, r_i)`, in commodity order.
+    fn demands(&self) -> impl ExactSizeIterator<Item = Commodity>;
+
+    /// Total demand `r = Σ r_i`.
+    fn total_rate(&self) -> f64 {
+        self.demands().map(|c| c.rate).sum()
+    }
+
+    /// Total cost `C(f) = Σ_e f_e·ℓ_e(f_e)` of a combined edge flow.
+    fn cost(&self, flow: &[f64]) -> f64 {
+        assert_eq!(flow.len(), self.graph().num_edges());
+        flow.iter()
+            .zip(self.latencies())
+            .map(|(&f, l)| if f == 0.0 { 0.0 } else { f * l.value(f) })
+            .sum()
+    }
+
+    /// Per-edge latencies evaluated at a flow (the MOP edge costs
+    /// `ℓ_e(o_e)`).
+    fn edge_costs(&self, flow: &[f64]) -> Vec<f64> {
+        flow.iter()
+            .zip(self.latencies())
+            .map(|(&f, l)| l.value(f))
+            .collect()
+    }
+}
 
 /// A single-commodity `s–t` scheduling instance `(G, r)` (paper §4).
 #[derive(Clone, Debug)]
 pub struct NetworkInstance {
     /// The network.
     pub graph: DiGraph,
-    /// Per-edge latency functions, indexed by [`EdgeId`].
+    /// Per-edge latency functions, indexed by [`EdgeId`](crate::graph::EdgeId).
     pub latencies: Vec<LatencyFn>,
     /// Source vertex `s`.
     pub source: NodeId,
@@ -71,51 +110,23 @@ impl NetworkInstance {
     pub fn num_edges(&self) -> usize {
         self.graph.num_edges()
     }
+}
 
-    /// Latency of edge `e` at flow `x`.
-    pub fn latency(&self, e: EdgeId, x: f64) -> f64 {
-        self.latencies[e.idx()].value(x)
+impl Network for NetworkInstance {
+    fn graph(&self) -> &DiGraph {
+        &self.graph
     }
 
-    /// Total cost `C(f) = Σ_e f_e·ℓ_e(f_e)` of an edge flow.
-    pub fn cost(&self, flow: &[f64]) -> f64 {
-        assert_eq!(flow.len(), self.num_edges());
-        flow.iter()
-            .zip(&self.latencies)
-            .map(|(&f, l)| if f == 0.0 { 0.0 } else { f * l.value(f) })
-            .sum()
+    fn latencies(&self) -> &[LatencyFn] {
+        &self.latencies
     }
 
-    /// Per-edge latencies evaluated at a flow (the MOP edge costs `ℓ_e(o_e)`).
-    pub fn edge_costs(&self, flow: &[f64]) -> Vec<f64> {
-        flow.iter()
-            .zip(&self.latencies)
-            .map(|(&f, l)| l.value(f))
-            .collect()
-    }
-
-    /// The instance seen by Followers after a Leader preload: the
-    /// a-posteriori latencies `ℓ̃_e(x) = ℓ_e(x + s_e)` with the follower
-    /// rate reduced by the *value* of the Leader's s→t flow (`value` is the
-    /// flow shipped from `s` to `t`, not the sum of edge entries, which
-    /// would double-count multi-edge paths).
-    pub fn preloaded_with_value(&self, preload: &[f64], value: f64) -> NetworkInstance {
-        assert_eq!(preload.len(), self.num_edges());
-        assert!(value >= -1e-12 && value <= self.rate + 1e-9);
-        let latencies = self
-            .latencies
-            .iter()
-            .zip(preload)
-            .map(|(l, &s)| l.preloaded(s))
-            .collect();
-        NetworkInstance {
-            graph: self.graph.clone(),
-            latencies,
+    fn demands(&self) -> impl ExactSizeIterator<Item = Commodity> {
+        std::iter::once(Commodity {
             source: self.source,
             sink: self.sink,
-            rate: (self.rate - value).max(0.0),
-            priceable: self.priceable.clone(),
-        }
+            rate: self.rate,
+        })
     }
 }
 
@@ -157,32 +168,19 @@ impl MultiCommodityInstance {
             commodities,
         }
     }
+}
 
-    /// Total demand `r = Σ r_i`.
-    pub fn total_rate(&self) -> f64 {
-        self.commodities.iter().map(|c| c.rate).sum()
+impl Network for MultiCommodityInstance {
+    fn graph(&self) -> &DiGraph {
+        &self.graph
     }
 
-    /// Total cost of a combined edge flow.
-    pub fn cost(&self, flow: &[f64]) -> f64 {
-        assert_eq!(flow.len(), self.graph.num_edges());
-        flow.iter()
-            .zip(&self.latencies)
-            .map(|(&f, l)| if f == 0.0 { 0.0 } else { f * l.value(f) })
-            .sum()
+    fn latencies(&self) -> &[LatencyFn] {
+        &self.latencies
     }
 
-    /// The single-commodity restriction `(G, r_i)` for commodity `i` (other
-    /// demands ignored) — used by per-commodity subroutines.
-    pub fn commodity_instance(&self, i: usize) -> NetworkInstance {
-        let c = self.commodities[i];
-        NetworkInstance::new(
-            self.graph.clone(),
-            self.latencies.clone(),
-            c.source,
-            c.sink,
-            c.rate,
-        )
+    fn demands(&self) -> impl ExactSizeIterator<Item = Commodity> {
+        self.commodities.iter().copied()
     }
 }
 
@@ -218,16 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn preloaded_shifts_and_reduces_rate() {
-        let inst = two_link();
-        let sub = inst.preloaded_with_value(&[0.0, 0.5], 0.5);
-        assert!((sub.rate - 0.5).abs() < 1e-12);
-        // Constant latency unchanged; identity unchanged at zero preload.
-        assert_eq!(sub.latency(EdgeId(0), 0.3), 0.3);
-        assert_eq!(sub.latency(EdgeId(1), 0.3), 1.0);
-    }
-
-    #[test]
     fn multicommodity_accessors() {
         let mut g = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1));
@@ -249,9 +237,8 @@ mod tests {
             ],
         );
         assert_eq!(inst.total_rate(), 3.0);
-        let c1 = inst.commodity_instance(1);
-        assert_eq!(c1.rate, 2.0);
-        assert_eq!(c1.sink, NodeId(2));
+        let second = inst.demands().nth(1).map(|c| (c.sink, c.rate));
+        assert_eq!(second, Some((NodeId(2), 2.0)));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod spath;
 pub use csr::{Csr, RevCsr, SpMode, SpWorkspace};
 pub use flow::EdgeFlow;
 pub use graph::{DiGraph, Edge, EdgeId, NodeId, MAX_PARSED_NODES};
-pub use instance::{Commodity, MultiCommodityInstance, NetworkInstance};
+pub use instance::{Commodity, MultiCommodityInstance, Network, NetworkInstance};
 pub use path::Path;
 
 /// Default flow tolerance: flows below this are treated as zero.

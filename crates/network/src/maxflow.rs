@@ -44,7 +44,7 @@ pub fn max_flow(g: &DiGraph, caps: &[f64], s: NodeId, t: NodeId) -> MaxFlowResul
         .cloned()
         .filter(|c| c.is_finite())
         .fold(0.0f64, f64::max);
-    let eps = 1e-12 * cap_scale.max(1.0);
+    let eps = 1e-12 * cap_scale;
 
     // Build residual arcs: forward at even indices, reverse at odd. The
     // per-node arc lists are flattened CSR-style (`adj_off`/`adj_arcs`) so

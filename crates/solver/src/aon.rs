@@ -191,14 +191,14 @@ fn timed_query<R>(sp: &mut SpWorkspace, query: impl FnOnce(&mut SpWorkspace) -> 
 /// `timed_query`).
 pub(crate) fn timed_shortest_to(
     csr: &Csr,
-    rcsr: Option<&RevCsr>,
+    rcsr: &RevCsr,
     sp: &mut SpWorkspace,
     edge_costs: &[f64],
     s: NodeId,
     t: NodeId,
 ) -> Option<f64> {
     timed_query(sp, |sp| {
-        sp.shortest_to(csr, rcsr, edge_costs, s, t, SpMode::Auto)
+        sp.shortest_to(csr, Some(rcsr), edge_costs, s, t, SpMode::Auto)
     })
 }
 
@@ -229,14 +229,14 @@ pub fn aon_into(
 }
 
 /// Target-aware [`aon_into`]: the shortest-path query runs in
-/// [`SpMode::Auto`] (early-exit, or bidirectional when `rcsr` is supplied
-/// on a large enough graph), settling only the nodes the single `s→t`
+/// [`SpMode::Auto`] (early-exit, or bidirectional over `rcsr` on a graph
+/// with at least 64 nodes), settling only the nodes the single `s→t`
 /// answer needs instead of the whole graph. The hot path of every
 /// single-commodity Frank–Wolfe iteration.
 #[allow(clippy::too_many_arguments)]
 pub fn aon_st_into(
     csr: &Csr,
-    rcsr: Option<&RevCsr>,
+    rcsr: &RevCsr,
     sp: &mut SpWorkspace,
     edge_costs: &[f64],
     s: NodeId,
@@ -251,7 +251,7 @@ pub fn aon_st_into(
             sink: t,
         });
     }
-    sp.walk_st_path(csr, rcsr, |e| out[e.idx()] += rate);
+    sp.walk_st_path(csr, Some(rcsr), |e| out[e.idx()] += rate);
     Ok(())
 }
 
@@ -311,7 +311,7 @@ fn assign_group_jobs(
 #[allow(clippy::too_many_arguments)]
 pub fn aon_assign_targets(
     csr: &Csr,
-    rcsr: Option<&RevCsr>,
+    rcsr: &RevCsr,
     sp: &mut SpWorkspace,
     pool: &mut SpPool,
     groups: &CommodityGroups,
@@ -510,15 +510,7 @@ mod tests {
         let mut pool = SpPool::new();
         let mut ys = vec![EdgeFlow::zeros(g.num_edges()); demands.len()];
         aon_assign_targets(
-            &csr,
-            Some(&rcsr),
-            &mut sp,
-            &mut pool,
-            &groups,
-            mode,
-            costs,
-            demands,
-            &mut ys,
+            &csr, &rcsr, &mut sp, &mut pool, &groups, mode, costs, demands, &mut ys,
         )?;
         Ok(ys)
     }
@@ -683,55 +675,53 @@ mod tests {
 
     #[test]
     fn aon_st_into_matches_full_across_modes() {
-        // A 9×9 grid of right and down edges: 81 nodes, above the size at
-        // which `SpMode::Auto` answers a query bidirectionally when given
-        // a reverse view, so both targeted searches run.
-        const SIDE: u32 = 9;
-        let mut g = DiGraph::with_nodes((SIDE * SIDE) as usize);
-        for r in 0..SIDE {
-            for c in 0..SIDE {
-                let v = NodeId(r * SIDE + c);
-                if c + 1 < SIDE {
-                    g.add_edge(v, NodeId(v.0 + 1));
-                }
-                if r + 1 < SIDE {
-                    g.add_edge(v, NodeId(v.0 + SIDE));
+        // Grids of right and down edges on both sides of the 64 nodes at
+        // which `SpMode::Auto` turns bidirectional: 7×7 runs the early-exit
+        // search, 9×9 the bidirectional one.
+        for side in [7u32, 9] {
+            let mut g = DiGraph::with_nodes((side * side) as usize);
+            for r in 0..side {
+                for c in 0..side {
+                    let v = NodeId(r * side + c);
+                    if c + 1 < side {
+                        g.add_edge(v, NodeId(v.0 + 1));
+                    }
+                    if r + 1 < side {
+                        g.add_edge(v, NodeId(v.0 + side));
+                    }
                 }
             }
-        }
-        let csr = Csr::new(&g);
-        let rcsr = RevCsr::new(&g);
-        // Distinct irrational-step costs keep the shortest path unique.
-        let costs: Vec<f64> = (0..g.num_edges())
-            .map(|i| 1.0 + (i as f64 * 0.618_033_988_75).fract())
-            .collect();
-        let (s, t) = (NodeId(0), NodeId(SIDE * SIDE - 1));
-        let mut sp = SpWorkspace::new();
-        let mut want = vec![0.0; g.num_edges()];
-        aon_into(&csr, &mut sp, &costs, s, t, 2.0, &mut want).unwrap();
-        assert_eq!(want.iter().filter(|&&f| f == 2.0).count(), 16);
-        // Witness that the reverse view switches the search: the settled
-        // count matches a forced bidirectional query, not an early-exit one.
-        let settled = |sp: &mut SpWorkspace, mode| {
-            sp.shortest_to(&csr, Some(&rcsr), &costs, s, t, mode)
-                .unwrap();
-            sp.settled_nodes()
-        };
-        let bidi = settled(&mut sp, SpMode::Bidirectional);
-        let forward = settled(&mut sp, SpMode::EarlyExit);
-        assert_ne!(bidi, forward);
-        // With or without a reverse view, the targeted query reproduces
-        // the full sweep.
-        for (rc, searched) in [(None, forward), (Some(&rcsr), bidi)] {
+            let csr = Csr::new(&g);
+            let rcsr = RevCsr::new(&g);
+            // Distinct irrational-step costs keep the shortest path unique.
+            let costs: Vec<f64> = (0..g.num_edges())
+                .map(|i| 1.0 + (i as f64 * 0.618_033_988_75).fract())
+                .collect();
+            let (s, t) = (NodeId(0), NodeId(side * side - 1));
+            let mut sp = SpWorkspace::new();
+            let mut want = vec![0.0; g.num_edges()];
+            aon_into(&csr, &mut sp, &costs, s, t, 2.0, &mut want).unwrap();
+            let hops = 2 * (side as usize - 1);
+            assert_eq!(want.iter().filter(|&&f| f == 2.0).count(), hops);
+            // Witness which search `Auto` ran: the settled count matches
+            // the forced mode for this graph size, and the two differ.
+            let settled = |sp: &mut SpWorkspace, mode| {
+                sp.shortest_to(&csr, Some(&rcsr), &costs, s, t, mode)
+                    .unwrap();
+                sp.settled_nodes()
+            };
+            let bidi = settled(&mut sp, SpMode::Bidirectional);
+            let forward = settled(&mut sp, SpMode::EarlyExit);
+            assert_ne!(bidi, forward);
+            let searched = if side * side >= 64 { bidi } else { forward };
+            // The targeted query reproduces the full sweep.
             let mut out = vec![0.0; g.num_edges()];
-            aon_st_into(&csr, rc, &mut sp, &costs, s, t, 2.0, &mut out).unwrap();
-            assert_eq!(sp.settled_nodes(), searched, "rcsr={}", rc.is_some());
-            assert_eq!(out, want, "rcsr={}", rc.is_some());
-        }
-        // Unreachable sink stays a typed error in targeted queries.
-        for rc in [None, Some(&rcsr)] {
+            aon_st_into(&csr, &rcsr, &mut sp, &costs, s, t, 2.0, &mut out).unwrap();
+            assert_eq!(sp.settled_nodes(), searched, "side {side}");
+            assert_eq!(out, want, "side {side}");
+            // Unreachable sink stays a typed error in targeted queries.
             let mut out = vec![0.0; g.num_edges()];
-            let err = aon_st_into(&csr, rc, &mut sp, &costs, t, s, 1.0, &mut out).unwrap_err();
+            let err = aon_st_into(&csr, &rcsr, &mut sp, &costs, t, s, 1.0, &mut out).unwrap_err();
             assert_eq!(
                 err,
                 SolverError::UnreachableSink {

@@ -18,19 +18,23 @@
 //!
 //! ## Workspaces and warm starts
 //!
+//! Entry points read their instance through the [`Network`] trait: an s–t
+//! instance is solved as the one-commodity case.
+//!
 //! All per-iteration buffers (gradient costs, all-or-nothing targets,
 //! conjugate state, the Dijkstra heap) live in a [`FwWorkspace`]. The plain
-//! entry points ([`solve_assignment`], [`solve_multicommodity`]) reuse a
+//! entry points ([`solve_multicommodity`] and its warm form) reuse a
 //! thread-local workspace, so back-to-back solves on one thread allocate
-//! only their results; the `_with` variants take an explicit workspace for
+//! only their results; the `_with` variant takes an explicit workspace for
 //! callers that manage their own.
 //!
-//! [`solve_warm`] / [`try_solve_warm`] additionally accept a previous
-//! [`FwResult`] as the starting point. Seeding a solve with a nearby flow
-//! (the previous α of an anarchy-curve sweep, MOP's free flow for an
-//! induced solve) skips the all-or-nothing bootstrap and typically
-//! converges in a handful of iterations instead of tens — `fw_bench`
-//! (`BENCH_fw.json`) measures the cold/warm iteration ratio.
+//! [`solve_warm_multicommodity`] / [`try_solve_warm_multicommodity`]
+//! additionally accept a previous [`FwResult`] as the starting point.
+//! Seeding a solve with a nearby flow (the previous α of an anarchy-curve
+//! sweep, MOP's free flows for an induced solve) skips the all-or-nothing
+//! bootstrap and typically converges in a handful of iterations instead of
+//! tens — `fw_bench` (`BENCH_fw.json`) measures the cold/warm iteration
+//! ratio.
 
 use std::cell::RefCell;
 
@@ -38,7 +42,7 @@ use sopt_latency::{DirPlan, Latency, LatencyBatch, LatencyFn};
 use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::Network;
 use sopt_network::DiGraph;
 
 use crate::aon::{aon_assign_targets, aon_st_into, AonMode, CommodityGroups};
@@ -219,89 +223,16 @@ fn with_tls_workspace<R>(f: impl FnOnce(&mut FwWorkspace) -> R) -> R {
     })
 }
 
-/// Solve a single-commodity instance. See [`solve_multicommodity`]. Panics
-/// where [`try_solve_assignment`] errors.
-pub fn solve_assignment(inst: &NetworkInstance, model: CostModel, opts: &FwOptions) -> FwResult {
-    try_solve_assignment(inst, model, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_assignment`] with the unreachable-sink failure surfaced as a
-/// typed [`SolverError`].
-pub fn try_solve_assignment(
-    inst: &NetworkInstance,
-    model: CostModel,
-    opts: &FwOptions,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm(inst, model, opts, None)
-}
-
-/// Solve a single-commodity instance starting from a previous result
-/// (`init`) when one is supplied: the initial point is `init`'s
-/// per-commodity flow rescaled to this instance's rate. A seed that does
-/// not fit (wrong shape, zero value, capacity violation after rescaling)
-/// silently falls back to the cold start. Panics where [`try_solve_warm`]
-/// errors.
-pub fn solve_warm(
-    inst: &NetworkInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    init: Option<&FwResult>,
-) -> FwResult {
-    try_solve_warm(inst, model, opts, init).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_warm`] with typed errors.
-pub fn try_solve_warm(
-    inst: &NetworkInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    init: Option<&FwResult>,
-) -> Result<FwResult, SolverError> {
-    with_tls_workspace(|ws| {
-        try_solve_warm_with(
-            ws,
-            inst,
-            model,
-            opts,
-            init.map(|r| r.per_commodity.as_slice()),
-        )
-    })
-}
-
-/// [`try_solve_warm`] over a caller-owned workspace, seeded by raw
-/// per-commodity flows (one [`EdgeFlow`] for the single commodity).
-pub fn try_solve_warm_with(
-    ws: &mut FwWorkspace,
-    inst: &NetworkInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    seed: Option<&[EdgeFlow]>,
-) -> Result<FwResult, SolverError> {
-    solve_inner(
-        ws,
-        &inst.graph,
-        &inst.latencies,
-        &[(inst.source, inst.sink, inst.rate)],
-        model,
-        opts,
-        seed,
-    )
-}
-
-/// Solve a k-commodity instance: per-commodity all-or-nothing directions
-/// with a common exact step in the combined flow space. Panics where
-/// [`try_solve_multicommodity`] errors.
-pub fn solve_multicommodity(
-    inst: &MultiCommodityInstance,
-    model: CostModel,
-    opts: &FwOptions,
-) -> FwResult {
+/// Solve a k-commodity instance (an s–t instance is the `k = 1` case):
+/// per-commodity all-or-nothing directions with a common exact step in the
+/// combined flow space. Panics where [`try_solve_multicommodity`] errors.
+pub fn solve_multicommodity(inst: &impl Network, model: CostModel, opts: &FwOptions) -> FwResult {
     try_solve_multicommodity(inst, model, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`solve_multicommodity`] with typed errors.
 pub fn try_solve_multicommodity(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     model: CostModel,
     opts: &FwOptions,
 ) -> Result<FwResult, SolverError> {
@@ -309,10 +240,12 @@ pub fn try_solve_multicommodity(
 }
 
 /// Multicommodity warm start: the per-commodity flows of `init` (rescaled
-/// per commodity) seed the solve. Panics where
+/// per commodity to this instance's rates) seed the solve. A seed that
+/// does not fit (wrong shape, zero value, capacity violation after
+/// rescaling) silently falls back to the cold start. Panics where
 /// [`try_solve_warm_multicommodity`] errors.
 pub fn solve_warm_multicommodity(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     model: CostModel,
     opts: &FwOptions,
     init: Option<&FwResult>,
@@ -322,7 +255,7 @@ pub fn solve_warm_multicommodity(
 
 /// [`solve_warm_multicommodity`] with typed errors.
 pub fn try_solve_warm_multicommodity(
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     model: CostModel,
     opts: &FwOptions,
     init: Option<&FwResult>,
@@ -342,20 +275,17 @@ pub fn try_solve_warm_multicommodity(
 /// by raw per-commodity flows.
 pub fn try_solve_warm_multicommodity_with(
     ws: &mut FwWorkspace,
-    inst: &MultiCommodityInstance,
+    inst: &impl Network,
     model: CostModel,
     opts: &FwOptions,
     seed: Option<&[EdgeFlow]>,
 ) -> Result<FwResult, SolverError> {
-    let demands: Vec<(NodeId, NodeId, f64)> = inst
-        .commodities
-        .iter()
-        .map(|c| (c.source, c.sink, c.rate))
-        .collect();
+    let demands: Vec<(NodeId, NodeId, f64)> =
+        inst.demands().map(|c| (c.source, c.sink, c.rate)).collect();
     solve_inner(
         ws,
-        &inst.graph,
-        &inst.latencies,
+        inst.graph(),
+        inst.latencies(),
         &demands,
         model,
         opts,
@@ -449,7 +379,7 @@ fn solve_inner(
     }
 
     ws.prepare(graph, latencies, demands);
-    let rcsr = Some(&ws.rcsr);
+    let rcsr = &ws.rcsr;
     let eval = Eval::new(latencies, Some(&ws.batch));
 
     // Instrumentation is observed through the process-global recorder so
@@ -507,7 +437,8 @@ fn solve_inner(
                         )
                         .map_err(|e| e.with_commodity(ci))?;
                         // Mirror the slice into the running combined flow.
-                        ws.sp.walk_st_path(&ws.csr, rcsr, |e| f[e.idx()] += slice);
+                        ws.sp
+                            .walk_st_path(&ws.csr, Some(rcsr), |e| f[e.idx()] += slice);
                     }
                 }
                 per
@@ -723,7 +654,7 @@ fn conjugate_weight(h: &[f64], f: &[f64], s_prev: &[f64], y: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::equalize::equalize;
-    use sopt_network::instance::Commodity;
+    use sopt_network::instance::{Commodity, MultiCommodityInstance, NetworkInstance};
 
     fn two_node(lats: Vec<LatencyFn>, rate: f64) -> NetworkInstance {
         let mut g = DiGraph::with_nodes(2);
@@ -758,7 +689,7 @@ mod tests {
     #[test]
     fn pigou_wardrop() {
         let inst = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         assert!((r.flow.0[0] - 1.0).abs() < 1e-6, "{:?}", r.flow);
         assert!(r.flow.0[1] < 1e-6);
@@ -767,7 +698,7 @@ mod tests {
     #[test]
     fn pigou_optimum() {
         let inst = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let r = solve_assignment(&inst, CostModel::SystemOptimum, &FwOptions::default());
+        let r = solve_multicommodity(&inst, CostModel::SystemOptimum, &FwOptions::default());
         assert!(r.converged);
         assert!((r.flow.0[0] - 0.5).abs() < 1e-6, "{:?}", r.flow);
         assert!((r.flow.0[1] - 0.5).abs() < 1e-6);
@@ -777,7 +708,7 @@ mod tests {
     #[test]
     fn braess_nash_floods_middle() {
         let inst = braess_classic();
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         let f = r.flow.as_slice();
         assert!((f[0] - 1.0).abs() < 1e-6, "{f:?}"); // s→v
@@ -789,7 +720,7 @@ mod tests {
     #[test]
     fn braess_optimum_avoids_middle() {
         let inst = braess_classic();
-        let r = solve_assignment(&inst, CostModel::SystemOptimum, &FwOptions::default());
+        let r = solve_multicommodity(&inst, CostModel::SystemOptimum, &FwOptions::default());
         assert!(r.converged);
         let f = r.flow.as_slice();
         assert!((f[0] - 0.5).abs() < 1e-6, "{f:?}");
@@ -807,7 +738,7 @@ mod tests {
         ];
         let inst = two_node(lats.clone(), 2.0);
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = solve_assignment(&inst, model, &FwOptions::default());
+            let fw = solve_multicommodity(&inst, model, &FwOptions::default());
             let eq = equalize(&lats, 2.0, model).unwrap();
             assert!(fw.converged);
             for i in 0..lats.len() {
@@ -867,7 +798,7 @@ mod tests {
             rate: 0.0,
             priceable: Vec::new(),
         };
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
         assert!(r.converged);
         assert_eq!(r.flow.0[0], 0.0);
     }
@@ -890,7 +821,7 @@ mod tests {
             NodeId(2),
             3.0,
         );
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         assert!(r.flow.0[0] < 2.0);
         // Wardrop: both parallel edges loaded ⇒ equal latency.
@@ -905,7 +836,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1)); // node 2 is cut off
         let inst = NetworkInstance::new(g, vec![LatencyFn::identity()], NodeId(0), NodeId(2), 1.0);
         let err =
-            try_solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap_err();
+            try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap_err();
         assert_eq!(
             err,
             SolverError::UnreachableSink {
@@ -920,8 +851,8 @@ mod tests {
     fn warm_start_from_own_solution_converges_immediately() {
         let inst = braess_classic();
         let opts = FwOptions::default();
-        let cold = solve_assignment(&inst, CostModel::Wardrop, &opts);
-        let warm = solve_warm(&inst, CostModel::Wardrop, &opts, Some(&cold));
+        let cold = solve_multicommodity(&inst, CostModel::Wardrop, &opts);
+        let warm = solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, Some(&cold));
         assert!(warm.converged);
         assert!(
             warm.iterations <= 2,
@@ -937,7 +868,7 @@ mod tests {
     fn warm_start_rescales_to_new_rate() {
         let inst = braess_classic();
         let opts = FwOptions::default();
-        let cold = solve_assignment(&inst, CostModel::SystemOptimum, &opts);
+        let cold = solve_multicommodity(&inst, CostModel::SystemOptimum, &opts);
         // Same network at a slightly different rate: the seed rescales.
         let bumped = NetworkInstance::new(
             inst.graph.clone(),
@@ -946,8 +877,8 @@ mod tests {
             inst.sink,
             1.05,
         );
-        let warm = solve_warm(&bumped, CostModel::SystemOptimum, &opts, Some(&cold));
-        let fresh = solve_assignment(&bumped, CostModel::SystemOptimum, &opts);
+        let warm = solve_warm_multicommodity(&bumped, CostModel::SystemOptimum, &opts, Some(&cold));
+        let fresh = solve_multicommodity(&bumped, CostModel::SystemOptimum, &opts);
         assert!(warm.converged && fresh.converged);
         assert!(warm.iterations <= fresh.iterations);
         for e in 0..5 {
@@ -970,7 +901,7 @@ mod tests {
             polish_rounds: 0,
             converged: false,
         };
-        let r = solve_warm(&inst, CostModel::Wardrop, &opts, Some(&bad));
+        let r = solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, Some(&bad));
         assert!(r.converged);
         assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
     }
@@ -983,7 +914,7 @@ mod tests {
         assert_eq!(stall_window(17), 68);
         assert_eq!(stall_window(500), 2000);
         // It still drives a solve to convergence.
-        let r = solve_assignment(&braess_classic(), CostModel::Wardrop, &FwOptions::default());
+        let r = solve_multicommodity(&braess_classic(), CostModel::Wardrop, &FwOptions::default());
         assert!(r.converged);
         assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
     }
@@ -994,9 +925,15 @@ mod tests {
         let braess = braess_classic();
         let pigou = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
         let opts = FwOptions::default();
-        let a = try_solve_warm_with(&mut ws, &braess, CostModel::Wardrop, &opts, None).unwrap();
-        let b = try_solve_warm_with(&mut ws, &pigou, CostModel::Wardrop, &opts, None).unwrap();
-        let c = try_solve_warm_with(&mut ws, &braess, CostModel::Wardrop, &opts, None).unwrap();
+        let a =
+            try_solve_warm_multicommodity_with(&mut ws, &braess, CostModel::Wardrop, &opts, None)
+                .unwrap();
+        let b =
+            try_solve_warm_multicommodity_with(&mut ws, &pigou, CostModel::Wardrop, &opts, None)
+                .unwrap();
+        let c =
+            try_solve_warm_multicommodity_with(&mut ws, &braess, CostModel::Wardrop, &opts, None)
+                .unwrap();
         assert!(a.converged && b.converged && c.converged);
         for e in 0..5 {
             assert!((a.flow.0[e] - c.flow.0[e]).abs() < 1e-12);

@@ -77,13 +77,13 @@ impl PathState {
 /// Runs over a caller-owned CSR view and Dijkstra workspace (the
 /// Frank–Wolfe solver hands in its own, so the polish phase shares the
 /// solve's buffers). Column generation runs its single-sink queries in
-/// `SpMode::Auto` (bidirectional when `rcsr` is supplied and the graph is
-/// large enough), and the O(m) cost sweeps route through `eval`'s batch
+/// `SpMode::Auto` (bidirectional over `rcsr` when the graph is large
+/// enough), and the O(m) cost sweeps route through `eval`'s batch
 /// lanes.
 #[allow(clippy::too_many_arguments)]
 pub fn polish_with(
     csr: &Csr,
-    rcsr: Option<&RevCsr>,
+    rcsr: &RevCsr,
     sp: &mut SpWorkspace,
     graph: &DiGraph,
     eval: &Eval,
@@ -143,6 +143,28 @@ pub fn polish_with(
     // One cost buffer for every round (no per-round allocation).
     let mut costs = vec![0.0f64; m];
 
+    // A positive demand whose start decomposes to nothing (every path
+    // below the absolute `FLOW_EPS`, as at tiny rates) starts on its
+    // shortest path at the current costs. Left empty, it would carry no
+    // flow, and the gap of an all-zero flow reads 0/0, which the check
+    // below takes for convergence.
+    for st in &mut states {
+        if st.rate <= 0.0 || !st.paths.is_empty() {
+            continue;
+        }
+        eval.gradient_into(model, &f, &mut costs);
+        if timed_shortest_to(csr, rcsr, sp, &costs, st.source, st.sink).is_none() {
+            continue;
+        }
+        if let Some(edges) = sp.st_path_edges(csr, Some(rcsr)) {
+            for e in &edges {
+                f[e.idx()] += st.rate;
+            }
+            let i = st.add_path(edges);
+            st.flows[i] = st.rate;
+        }
+    }
+
     for round in 0..max_rounds {
         rounds = round + 1;
         // Column generation + gap measurement at the current point. Path
@@ -158,7 +180,7 @@ pub fn polish_with(
             match timed_shortest_to(csr, rcsr, sp, &costs, st.source, st.sink) {
                 Some(dist) => {
                     cy += st.rate * dist;
-                    if let Some(edges) = sp.st_path_edges(csr, rcsr) {
+                    if let Some(edges) = sp.st_path_edges(csr, Some(rcsr)) {
                         st.add_path(edges);
                     }
                 }
@@ -339,7 +361,7 @@ mod tests {
         let mut sp = SpWorkspace::new();
         polish_with(
             &Csr::new(&g),
-            Some(&rcsr),
+            &rcsr,
             &mut sp,
             &g,
             &eval,

@@ -7,7 +7,7 @@
 //! medium precision (~1e-7) is plenty for a cross-check oracle.
 
 use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::NetworkInstance;
+use sopt_network::instance::Network;
 use sopt_network::path::{all_simple_paths, Path};
 
 use crate::objective::CostModel;
@@ -27,22 +27,27 @@ pub struct PgdResult {
     pub iterations: usize,
 }
 
-/// Solve by projected gradient over path flows. Panics if the graph has
-/// more than `max_paths` simple s→t paths (use Frank–Wolfe instead).
+/// Solve a one-commodity network by projected gradient over path flows.
+/// Panics if the network has several commodities or more than `max_paths`
+/// simple s→t paths (use Frank–Wolfe instead).
 pub fn path_equilibrium(
-    inst: &NetworkInstance,
+    inst: &impl Network,
     model: CostModel,
     max_paths: usize,
     iters: usize,
 ) -> PgdResult {
-    let paths = all_simple_paths(&inst.graph, inst.source, inst.sink, max_paths)
+    let mut demands = inst.demands();
+    let (Some(demand), None) = (demands.next(), demands.next()) else {
+        panic!("the path-based solver handles one commodity");
+    };
+    let paths = all_simple_paths(inst.graph(), demand.source, demand.sink, max_paths)
         .expect("path set too large for the path-based solver");
     assert!(!paths.is_empty(), "sink unreachable");
     let n = paths.len();
-    let m = inst.num_edges();
+    let m = inst.graph().num_edges();
 
     // Start uniform.
-    let mut h = vec![inst.rate / n as f64; n];
+    let mut h = vec![demand.rate / n as f64; n];
     let mut edge = vec![0.0f64; m];
     let edge_of = |h: &[f64], edge: &mut Vec<f64>| {
         edge.iter_mut().for_each(|x| *x = 0.0);
@@ -56,7 +61,7 @@ pub fn path_equilibrium(
     // Lipschitz-ish step: 1 / (max curvature × max path length).
     edge_of(&h, &mut edge);
     let mut curv_max = 0.0f64;
-    for (l, &fe) in inst.latencies.iter().zip(&edge) {
+    for (l, &fe) in inst.latencies().iter().zip(&edge) {
         curv_max = curv_max.max(model.edge_curvature(l, fe).abs());
     }
     let max_len = paths.iter().map(Path::len).max().unwrap() as f64;
@@ -65,7 +70,7 @@ pub fn path_equilibrium(
     let mut grad = vec![0.0f64; n];
     let mut iterations = 0;
     let objective = |edge: &[f64]| -> f64 {
-        inst.latencies
+        inst.latencies()
             .iter()
             .zip(edge)
             .map(|(l, &x)| model.edge_objective(l, x))
@@ -78,7 +83,7 @@ pub fn path_equilibrium(
         edge_of(&h, &mut edge);
         // Path gradients = sum of edge gradients along the path.
         let edge_grad: Vec<f64> = inst
-            .latencies
+            .latencies()
             .iter()
             .zip(&edge)
             .map(|(l, &x)| model.edge_gradient(l, x))
@@ -88,7 +93,7 @@ pub fn path_equilibrium(
         }
         // Gradient step + simplex projection.
         let proposal: Vec<f64> = h.iter().zip(&grad).map(|(hp, gp)| hp - step * gp).collect();
-        let projected = project_simplex(&proposal, inst.rate);
+        let projected = project_simplex(&proposal, demand.rate);
         // Backtrack if the objective worsened (cheap safeguard).
         let mut trial_edge = vec![0.0; m];
         {
@@ -147,6 +152,7 @@ mod tests {
     use super::*;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
+    use sopt_network::instance::NetworkInstance;
     use sopt_network::DiGraph;
 
     #[test]

@@ -15,29 +15,28 @@
 //!
 //! Implementations exist for the three instance types themselves
 //! ([`ParallelLinks`], [`NetworkInstance`], [`MultiCommodityInstance`]);
+//! the two network classes share one implementation over the k-commodity
+//! algorithms, which read an s–t network as one commodity.
 //! [`Scenario::model`](super::Scenario) hands out the right one — the only
 //! per-class `match` left in the session layer.
 
 use sopt_core::curve::{
-    anarchy_curve, anarchy_curve_multi_with, anarchy_curve_network_with, CurveOptions, CurveOracle,
-    CurveStrategy, NetworkAnarchyCurve,
+    anarchy_curve, anarchy_curve_multi_with, CurveOptions, CurveOracle, CurveStrategy,
 };
 use sopt_core::llf::llf_strategy_for_optimum;
 use sopt_core::tolls::{
-    try_marginal_cost_tolls_multi_with_optimum, try_marginal_cost_tolls_network_with_optimum,
-    try_marginal_cost_tolls_with_optimum,
+    try_marginal_cost_tolls_multi_with_optimum, try_marginal_cost_tolls_with_optimum,
 };
-use sopt_core::{try_mop_multi_with_optimum, try_mop_with_optimum, try_optop};
+use sopt_core::{try_mop_multi_with_optimum, try_optop};
 use sopt_equilibrium::network::{
-    try_induced_multicommodity, try_induced_network, try_multicommodity_nash,
-    try_multicommodity_optimum, try_network_nash, try_network_optimum, warm_seed_from,
+    try_induced_multicommodity, try_multicommodity_nash, try_multicommodity_optimum,
     warm_seed_from_per,
 };
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
 use sopt_network::csr::{Csr, RevCsr, SpMode, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::{MultiCommodityInstance, Network, NetworkInstance};
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
 use super::error::SoptError;
@@ -264,23 +263,6 @@ fn points_report(
         .collect()
 }
 
-/// Map a core induced-sweep curve into the report shape. `weak_beta` is
-/// reported only where the split is a real choice (k > 1).
-fn curve_report_from(c: &NetworkAnarchyCurve, commodities: usize) -> CurveReport {
-    CurveReport {
-        beta: c.beta,
-        weak_beta: (commodities > 1).then_some(c.weak_beta),
-        strategy: c.strategy.name(),
-        nash_cost: c.nash_cost,
-        optimum_cost: c.optimum_cost,
-        points: points_report(
-            c.points
-                .iter()
-                .map(|p| (p.alpha, p.cost, p.ratio, p.oracle)),
-        ),
-    }
-}
-
 fn check_converged(r: &FwResult, what: &'static str) -> Result<(), SoptError> {
     if r.converged {
         Ok(())
@@ -469,101 +451,38 @@ impl ScenarioModel for ParallelLinks {
 }
 
 // ---------------------------------------------------------------------------
-// Single-commodity s–t networks (MOP, Corollary 2.3).
+// Networks (Theorem 2.1; an s–t network is its one-commodity case).
 // ---------------------------------------------------------------------------
 
-impl ScenarioModel for NetworkInstance {
-    fn class(&self) -> ScenarioClass {
-        ScenarioClass::Network
-    }
+/// What sets the two network classes apart. Every other [`ScenarioModel`]
+/// method is the k-commodity code, shared by both through the blanket
+/// impl below.
+trait NetworkClass: Network {
+    /// The instance class.
+    const CLASS: ScenarioClass;
 
-    fn commodities(&self) -> usize {
-        1
-    }
-
-    fn cost(&self, flow: &[f64]) -> f64 {
-        NetworkInstance::cost(self, flow)
-    }
-
-    fn fw_keyed(&self) -> bool {
-        true
-    }
-
-    fn supports(&self, task: Task) -> bool {
-        !matches!(task, Task::Llf)
-    }
-
-    fn solve_profile(&self, kind: EqKind, fw: &FwOptions) -> Result<ModelProfile, SoptError> {
-        let r = match kind {
-            EqKind::Nash => try_network_nash(self, fw, None),
-            EqKind::Optimum => try_network_optimum(self, fw, None),
-        }?;
-        checked_profile(r, kind)
-    }
-
-    fn beta_plan(&self, optimum: Option<&ModelProfile>) -> Result<BetaPlan, SoptError> {
-        let r = try_mop_with_optimum(self, ModelProfile::require_flow(optimum, "optimum")?)?;
-        Ok(BetaPlan {
-            beta: r.beta,
-            commodity_alphas: vec![],
-            leader: r.leader.as_slice().to_vec(),
-            leader_values: vec![r.leader_value],
-            optimum: r.optimum.as_slice().to_vec(),
-            optimum_cost: r.optimum_cost,
-            nash_cost: None,
-            // The free flow IS the follower equilibrium the MOP strategy
-            // induces (S + T = O), so it seeds the induced solve to
-            // near-instant convergence.
-            induced_seed: Some(warm_seed_from(&r.free_flow)),
-        })
-    }
-
-    fn induced(
+    /// The pricing task. Single-price network pricing is an s–t notion; a
+    /// per-commodity generalisation is future work (see ROADMAP.md).
+    fn network_pricing(
         &self,
-        leader: &[f64],
-        leader_values: &[f64],
-        fw: &FwOptions,
-        seed: Option<&FwResult>,
-    ) -> Result<InducedOutcome, SoptError> {
-        let leader = EdgeFlow(leader.to_vec());
-        let value = leader_values.first().copied().unwrap_or(0.0);
-        let r = try_induced_network(self, &leader, value, fw, seed)?;
-        check_converged(&r, "induced")?;
-        Ok(InducedOutcome {
-            follower: r.flow.as_slice().to_vec(),
-            result: Some(r),
-        })
-    }
-
-    fn tolls(&self, optimum: &ModelProfile, fw: &FwOptions) -> Result<TollsReport, SoptError> {
-        let opt = ModelProfile::require_flow(Some(optimum), "optimum")?;
-        let t = try_marginal_cost_tolls_network_with_optimum(self, opt)?;
-        // Marginal-cost tolls induce the untolled optimum — seed the tolled
-        // Nash with it.
-        let seed = warm_seed_from(&opt.flow);
-        let tolled_nash = try_network_nash(&t.tolled, fw, Some(&seed))?;
-        check_converged(&tolled_nash, "tolled nash")?;
-        Ok(TollsReport {
-            tolled_cost: self.cost(tolled_nash.flow.as_slice()),
-            tolled_nash: tolled_nash.flow.as_slice().to_vec(),
-            tolls: t.tolls,
-            optimum: t.optimum,
-            revenue: t.revenue,
-        })
-    }
-
-    fn llf(&self, _alpha: f64, _optimum: &ModelProfile) -> Result<LlfReport, SoptError> {
+        _options: &SolveOptions,
+        _nash: Option<&ModelProfile>,
+    ) -> Result<PricingReport, SoptError> {
         Err(SoptError::Unsupported {
-            task: Task::Llf,
-            class: self.class(),
+            task: Task::Pricing,
+            class: Self::CLASS,
         })
     }
+}
 
-    fn pricing_needs_nash(&self) -> bool {
-        true
-    }
+impl NetworkClass for MultiCommodityInstance {
+    const CLASS: ScenarioClass = ScenarioClass::Multi;
+}
 
-    fn pricing(
+impl NetworkClass for NetworkInstance {
+    const CLASS: ScenarioClass = ScenarioClass::Network;
+
+    fn network_pricing(
         &self,
         options: &SolveOptions,
         nash: Option<&ModelProfile>,
@@ -646,14 +565,14 @@ impl ScenarioModel for NetworkInstance {
                 self.sink,
                 self.rate,
             );
-            let r = try_network_nash(&tolled, &fw, Some(seed))?;
+            let r = try_multicommodity_nash(&tolled, &fw, Some(seed))?;
             check_converged(&r, "priced nash")?;
             Ok(r)
         };
         let revenue_at = |p: f64, r: &FwResult| -> f64 {
             p * priceable.iter().map(|&e| r.flow.as_slice()[e]).sum::<f64>()
         };
-        let mut seed = warm_seed_from(&nash.flow);
+        let mut seed = warm_seed_from_per(vec![nash.flow.clone()]);
         let mut best_p = 0.0;
         let mut best_rev = 0.0;
         let mut best_flow: Vec<f64> = nash.flow.as_slice().to_vec();
@@ -690,46 +609,19 @@ impl ScenarioModel for NetworkInstance {
             sweep: sweep?,
         })
     }
-
-    fn anarchy_curve(
-        &self,
-        alphas: &[f64],
-        strategy: CurveStrategy,
-        fw: &FwOptions,
-        optimum: &ModelProfile,
-        nash: &ModelProfile,
-    ) -> Result<CurveReport, SoptError> {
-        let c = anarchy_curve_network_with(
-            self,
-            alphas,
-            fw,
-            true,
-            ModelProfile::require_flow(Some(optimum), "optimum")?,
-            ModelProfile::require_flow(Some(nash), "nash")?,
-        )?;
-        let mut report = curve_report_from(&c, self.commodities());
-        // One commodity: the weak and strong splits coincide; echo the
-        // knob the caller asked for.
-        report.strategy = strategy.name();
-        Ok(report)
-    }
 }
 
-// ---------------------------------------------------------------------------
-// k-commodity networks (Theorem 2.1).
-// ---------------------------------------------------------------------------
-
-impl ScenarioModel for MultiCommodityInstance {
+impl<N: NetworkClass> ScenarioModel for N {
     fn class(&self) -> ScenarioClass {
-        ScenarioClass::Multi
+        N::CLASS
     }
 
     fn commodities(&self) -> usize {
-        self.commodities.len()
+        self.demands().len()
     }
 
     fn cost(&self, flow: &[f64]) -> f64 {
-        MultiCommodityInstance::cost(self, flow)
+        Network::cost(self, flow)
     }
 
     fn fw_keyed(&self) -> bool {
@@ -737,9 +629,11 @@ impl ScenarioModel for MultiCommodityInstance {
     }
 
     fn supports(&self, task: Task) -> bool {
-        // Single-price network pricing is an s–t notion; a per-commodity
-        // generalisation is future work (see ROADMAP.md).
-        !matches!(task, Task::Llf | Task::Pricing)
+        match task {
+            Task::Llf => false,
+            Task::Pricing => N::CLASS == ScenarioClass::Network,
+            _ => true,
+        }
     }
 
     fn solve_profile(&self, kind: EqKind, fw: &FwOptions) -> Result<ModelProfile, SoptError> {
@@ -752,16 +646,22 @@ impl ScenarioModel for MultiCommodityInstance {
 
     fn beta_plan(&self, optimum: Option<&ModelProfile>) -> Result<BetaPlan, SoptError> {
         let r = try_mop_multi_with_optimum(self, ModelProfile::require_flow(optimum, "optimum")?)?;
+        // An s–t network's one portion is β itself, so its report lists none.
+        let commodity_alphas = if N::CLASS == ScenarioClass::Multi {
+            r.commodities.iter().map(|c| c.alpha).collect()
+        } else {
+            Vec::new()
+        };
         Ok(BetaPlan {
             beta: r.beta,
-            commodity_alphas: r.commodities.iter().map(|c| c.alpha).collect(),
+            commodity_alphas,
             leader: r.leader_total.as_slice().to_vec(),
             leader_values: r.commodities.iter().map(|c| c.leader_value).collect(),
             optimum: r.optimum_total.as_slice().to_vec(),
             optimum_cost: r.optimum_cost,
             nash_cost: None,
             // Per-commodity free flows are the follower equilibria the
-            // strategy induces — the exact warm seed.
+            // strategy induces (S + T = O) — the exact warm seed.
             induced_seed: Some(warm_seed_from_per(
                 r.commodities.iter().map(|c| c.free_flow.clone()).collect(),
             )),
@@ -793,7 +693,7 @@ impl ScenarioModel for MultiCommodityInstance {
         let tolled_nash = try_multicommodity_nash(&t.tolled, fw, Some(&seed))?;
         check_converged(&tolled_nash, "tolled nash")?;
         Ok(TollsReport {
-            tolled_cost: self.cost(tolled_nash.flow.as_slice()),
+            tolled_cost: Network::cost(self, tolled_nash.flow.as_slice()),
             tolled_nash: tolled_nash.flow.as_slice().to_vec(),
             tolls: t.tolls,
             optimum: t.optimum,
@@ -804,19 +704,20 @@ impl ScenarioModel for MultiCommodityInstance {
     fn llf(&self, _alpha: f64, _optimum: &ModelProfile) -> Result<LlfReport, SoptError> {
         Err(SoptError::Unsupported {
             task: Task::Llf,
-            class: self.class(),
+            class: N::CLASS,
         })
+    }
+
+    fn pricing_needs_nash(&self) -> bool {
+        self.supports(Task::Pricing)
     }
 
     fn pricing(
         &self,
-        _options: &SolveOptions,
-        _nash: Option<&ModelProfile>,
+        options: &SolveOptions,
+        nash: Option<&ModelProfile>,
     ) -> Result<PricingReport, SoptError> {
-        Err(SoptError::Unsupported {
-            task: Task::Pricing,
-            class: self.class(),
-        })
+        self.network_pricing(options, nash)
     }
 
     fn anarchy_curve(
@@ -827,8 +728,14 @@ impl ScenarioModel for MultiCommodityInstance {
         optimum: &ModelProfile,
         nash: &ModelProfile,
     ) -> Result<CurveReport, SoptError> {
+        // On an s–t network the weak and strong splits coincide: sweep the
+        // strong one and echo the name the caller asked for.
         let copts = CurveOptions {
-            strategy,
+            strategy: if N::CLASS == ScenarioClass::Multi {
+                strategy
+            } else {
+                CurveStrategy::Strong
+            },
             warm: true,
         };
         let c = anarchy_curve_multi_with(
@@ -839,7 +746,19 @@ impl ScenarioModel for MultiCommodityInstance {
             ModelProfile::require_flow(Some(optimum), "optimum")?,
             ModelProfile::require_flow(Some(nash), "nash")?,
         )?;
-        Ok(curve_report_from(&c, self.commodities()))
+        Ok(CurveReport {
+            beta: c.beta,
+            // Reported only where the split is a real choice (k > 1).
+            weak_beta: (self.commodities() > 1).then_some(c.weak_beta),
+            strategy: strategy.name(),
+            nash_cost: c.nash_cost,
+            optimum_cost: c.optimum_cost,
+            points: points_report(
+                c.points
+                    .iter()
+                    .map(|p| (p.alpha, p.cost, p.ratio, p.oracle)),
+            ),
+        })
     }
 }
 

@@ -422,3 +422,31 @@ fn reports_survive_a_spec_round_trip() {
         assert_eq!(r1.to_json(), r2.to_json(), "'{spec}' vs '{formatted}'");
     }
 }
+
+/// β and the induced cost do not depend on the unit of demand: Pigou at
+/// rate r with latencies (x/r, 1) is the rate-1 game rescaled, so β = 1/2
+/// and the β-strategy induces C(O), in every class and down to r = 1e-12.
+#[test]
+fn beta_is_invariant_under_the_unit_of_demand() {
+    for r in [1.0, 1e-6, 1e-9, 1e-12] {
+        let a = 1.0 / r;
+        for scenario in [
+            Scenario::parse(&format!("{a}x, 1")).and_then(|s| s.with_rate(r)),
+            Scenario::parse(&format!("nodes=2; 0->1: {a}x; 0->1: 1; demand 0->1: {r}")),
+            Scenario::parse(&format!(
+                "nodes=4; 0->1: {a}x; 0->1: 1; 2->3: {a}x; 2->3: 1; \
+                 demand 0->1: {r}; demand 2->3: {r}"
+            )),
+        ] {
+            let report = scenario.unwrap().solve().task(Task::Beta).run().unwrap();
+            let b = report.data.as_beta().unwrap();
+            let what = format!("{} at r = {r}", report.scenario.class);
+            assert!((b.beta - 0.5).abs() < 1e-6, "{what}: β = {}", b.beta);
+            let (induced, optimum) = (b.induced_cost, b.optimum_cost);
+            assert!(
+                (induced - optimum).abs() <= 1e-6 * optimum,
+                "{what}: induced {induced} vs C(O) {optimum}"
+            );
+        }
+    }
+}

@@ -3,7 +3,6 @@
 
 use stackopt::core::brute::{brute_force_optimal, BruteOptions};
 use stackopt::core::linear_optimal::linear_optimal_strategy;
-use stackopt::core::mop::mop;
 use stackopt::core::optop::optop;
 use stackopt::instances::random::{
     random_common_slope, random_layered_network, random_mixed, random_mixed_smooth,
@@ -42,7 +41,7 @@ fn equalizer_vs_frank_wolfe() {
         let inst = as_network(&links);
         let opts = FwOptions::default();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = stackopt::solver::frank_wolfe::solve_assignment(&inst, model, &opts);
+            let fw = stackopt::solver::frank_wolfe::solve_multicommodity(&inst, model, &opts);
             assert!(fw.converged, "seed {seed} {model:?}");
             let eq = match model {
                 CostModel::Wardrop => links.nash(),
@@ -67,7 +66,7 @@ fn frank_wolfe_vs_pgd() {
         let inst = random_layered_network(2, 2, 1.0, seed);
         let opts = FwOptions::default();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = stackopt::solver::frank_wolfe::solve_assignment(&inst, model, &opts);
+            let fw = stackopt::solver::frank_wolfe::solve_multicommodity(&inst, model, &opts);
             let pg = path_equilibrium(&inst, model, 100, 30_000);
             let c_fw = inst.cost(fw.flow.as_slice());
             let c_pg = inst.cost(pg.flow.as_slice());
@@ -87,7 +86,7 @@ fn optop_vs_mop_on_parallel_links() {
     for seed in 0..6u64 {
         let links = random_common_slope(4, 1.0, seed);
         let ot = optop(&links);
-        let mp = mop(&as_network(&links), &FwOptions::default());
+        let mp = mop_multi(&as_network(&links), &FwOptions::default());
         assert!(
             (ot.beta - mp.beta).abs() < 1e-4,
             "seed {seed}: OpTop β {} vs MOP β {}",

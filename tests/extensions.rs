@@ -4,9 +4,8 @@
 
 use stackopt::core::curve::anarchy_curve;
 use stackopt::core::optop::optop;
-use stackopt::core::tolls::{marginal_cost_tolls, marginal_cost_tolls_network};
+use stackopt::core::tolls::{marginal_cost_tolls, try_marginal_cost_tolls_multi};
 use stackopt::equilibrium::certify::certify_parallel;
-use stackopt::equilibrium::network::network_nash;
 use stackopt::instances::braess::fig7_instance;
 use stackopt::instances::fig4::fig4_links;
 use stackopt::prelude::*;
@@ -63,8 +62,8 @@ fn tolls_and_stackelberg_agree_on_fig4() {
 fn network_tolls_on_fig7() {
     let inst = fig7_instance(0.05);
     let opts = FwOptions::default();
-    let t = marginal_cost_tolls_network(&inst, &opts);
-    let nash = network_nash(&t.tolled, &opts);
+    let t = try_marginal_cost_tolls_multi(&inst, &opts).unwrap();
+    let nash = multicommodity_nash(&t.tolled, &opts);
     // Latency cost of the tolled equilibrium = C(O) of the original.
     let c = inst.cost(nash.flow.as_slice());
     let copt = inst.cost(&t.optimum);

@@ -1,10 +1,14 @@
 //! Randomized end-to-end MOP validation on layered networks: the strategy
 //! must induce the optimum and β must be minimal along the scaling ray.
 
-use stackopt::core::mop::{mop, mop_greedy};
+use stackopt::core::mop_multi::mop_multi;
 use stackopt::equilibrium::certify::certify_network;
-use stackopt::equilibrium::network::induced_network;
+use stackopt::equilibrium::network::{induced_multicommodity, multicommodity_optimum};
+use stackopt::instances::fig7_instance;
 use stackopt::instances::random::random_layered_network;
+use stackopt::network::flow::decompose;
+use stackopt::network::spath::dijkstra;
+use stackopt::network::{Network, NetworkInstance};
 use stackopt::solver::frank_wolfe::FwOptions;
 use stackopt::solver::objective::CostModel;
 
@@ -15,11 +19,29 @@ fn opts() -> FwOptions {
     }
 }
 
+/// The greedy ablation of MOP, as a test oracle: decompose the optimum into
+/// paths and leave free only the pieces that ride shortest paths under the
+/// optimal edge costs. A greedy decomposition can waste shortest-path
+/// capacity, so its β bounds MOP's exact (max-flow) β from above.
+fn greedy_beta(inst: &NetworkInstance, opts: &FwOptions) -> f64 {
+    let optimum = multicommodity_optimum(inst, opts).flow;
+    let costs = inst.edge_costs(optimum.as_slice());
+    let dist = dijkstra(&inst.graph, &costs, inst.source).dist[inst.sink.idx()];
+    let tol = 1e-6 * dist.abs().max(1.0);
+    let free: f64 = decompose(&inst.graph, &optimum, inst.source, inst.sink)
+        .paths
+        .iter()
+        .filter(|(path, _)| (path.cost(&costs) - dist).abs() <= tol)
+        .map(|(_, amount)| amount)
+        .sum();
+    (inst.rate - free).max(0.0) / inst.rate
+}
+
 #[test]
 fn mop_induces_optimum_on_random_layered_nets() {
     for seed in 0..8u64 {
         let inst = random_layered_network(3, 3, 2.0, seed);
-        let r = mop(&inst, &opts());
+        let r = mop_multi(&inst, &opts());
         assert!(
             (0.0..=1.0 + 1e-6).contains(&r.beta),
             "seed {seed}: β = {}",
@@ -27,13 +49,14 @@ fn mop_induces_optimum_on_random_layered_nets() {
         );
 
         // The optimum itself is certified.
-        certify_network(&inst, &r.optimum, CostModel::SystemOptimum, 1e-4)
+        certify_network(&inst, &r.optimum_total, CostModel::SystemOptimum, 1e-4)
             .unwrap_or_else(|e| panic!("seed {seed}: optimum not certified: {e}"));
 
         // Leader + induced followers = optimum cost.
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &opts());
+        let values = [r.commodities[0].leader_value];
+        let follower = induced_multicommodity(&inst, &r.leader_total, &values, &opts());
         let total: Vec<f64> = r
-            .leader
+            .leader_total
             .as_slice()
             .iter()
             .zip(follower.flow.as_slice())
@@ -50,15 +73,21 @@ fn mop_induces_optimum_on_random_layered_nets() {
 
 #[test]
 fn mop_beta_never_exceeds_greedy_on_random_nets() {
-    for seed in 0..8u64 {
-        let inst = random_layered_network(3, 3, 2.0, seed);
-        let exact = mop(&inst, &opts());
-        let greedy = mop_greedy(&inst, &opts());
+    // Random layered nets, then the paper's Fig. 7 net at ε = 0 and 0.05.
+    let random = (0..8u64).map(|seed| {
+        (
+            format!("seed {seed}"),
+            random_layered_network(3, 3, 2.0, seed),
+        )
+    });
+    let fig7 = [0.0, 0.05].map(|eps| (format!("fig7 ε={eps}"), fig7_instance(eps)));
+    for (name, inst) in random.chain(fig7) {
+        let exact = mop_multi(&inst, &opts());
+        let greedy = greedy_beta(&inst, &opts());
         assert!(
-            exact.beta <= greedy.beta + 1e-6,
-            "seed {seed}: exact β {} > greedy β {}",
-            exact.beta,
-            greedy.beta
+            exact.beta <= greedy + 1e-6,
+            "{name}: exact β {} > greedy β {greedy}",
+            exact.beta
         );
     }
 }
@@ -67,11 +96,12 @@ fn mop_beta_never_exceeds_greedy_on_random_nets() {
 fn mop_leader_and_free_parts_partition_optimum() {
     for seed in [2u64, 5, 11] {
         let inst = random_layered_network(2, 4, 1.5, seed);
-        let r = mop(&inst, &opts());
+        let r = mop_multi(&inst, &opts());
+        let c = &r.commodities[0];
         for e in 0..inst.num_edges() {
-            let o = r.optimum.as_slice()[e];
-            let fr = r.free_flow.as_slice()[e];
-            let ld = r.leader.as_slice()[e];
+            let o = r.optimum_total.as_slice()[e];
+            let fr = c.free_flow.as_slice()[e];
+            let ld = c.leader.as_slice()[e];
             assert!(fr >= -1e-9 && ld >= -1e-9, "seed {seed} edge {e}");
             assert!(fr <= o + 1e-6, "seed {seed} edge {e}: free exceeds optimum");
             assert!(
@@ -79,7 +109,7 @@ fn mop_leader_and_free_parts_partition_optimum() {
                 "seed {seed} edge {e}: partition broken"
             );
         }
-        assert!((r.free_value + r.leader_value - inst.rate).abs() < 1e-6);
+        assert!((c.free_value + c.leader_value - inst.rate).abs() < 1e-6);
     }
 }
 
@@ -89,15 +119,15 @@ fn scaled_down_mop_strategy_misses_optimum() {
     // whenever β > 0 and the instance is not already optimal at Nash.
     for seed in 0..8u64 {
         let inst = random_layered_network(3, 3, 2.0, seed);
-        let r = mop(&inst, &opts());
+        let r = mop_multi(&inst, &opts());
         if r.beta < 0.05 {
             continue;
         }
-        let scaled: Vec<f64> = r.leader.as_slice().iter().map(|x| x * 0.8).collect();
-        let follower = induced_network(
+        let scaled: Vec<f64> = r.leader_total.as_slice().iter().map(|x| x * 0.8).collect();
+        let follower = induced_multicommodity(
             &inst,
             &stackopt::network::flow::EdgeFlow(scaled.clone()),
-            r.leader_value * 0.8,
+            &[r.commodities[0].leader_value * 0.8],
             &opts(),
         );
         let total: Vec<f64> = scaled

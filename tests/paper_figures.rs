@@ -1,14 +1,15 @@
 //! Integration tests pinning every number of the paper's worked examples
 //! (Experiments E1–E4 of DESIGN.md).
 
-use stackopt::core::mop::mop;
+use stackopt::core::mop_multi::mop_multi;
 use stackopt::core::optop::optop;
 use stackopt::core::theorems::swap_reassignment;
 use stackopt::equilibrium::cost::coordination_ratio;
-use stackopt::equilibrium::network::{induced_network, network_nash};
+use stackopt::equilibrium::network::{induced_multicommodity, multicommodity_nash};
 use stackopt::instances::braess::{fig7_expected, fig7_instance};
 use stackopt::instances::fig4::{fig4_expected, fig4_links};
 use stackopt::instances::pigou::{pigou_expected, pigou_links};
+use stackopt::network::Network;
 use stackopt::solver::frank_wolfe::FwOptions;
 
 /// E1 — Figs. 1–3 (Pigou parlance): the worst anarchy value 4/3 and the
@@ -70,19 +71,20 @@ fn e3_fig7_mop() {
     for &eps in &[0.0, 0.01, 0.05, 0.1] {
         let inst = fig7_instance(eps);
         let e = fig7_expected(eps);
-        let r = mop(&inst, &opts);
+        let r = mop_multi(&inst, &opts);
+        let c = &r.commodities[0];
 
         // Fig. 7(a): optimal edge flows.
         for (i, want) in e.optimum.iter().enumerate() {
             assert!(
-                (r.optimum.as_slice()[i] - want).abs() < 1e-4,
+                (r.optimum_total.as_slice()[i] - want).abs() < 1e-4,
                 "ε={eps} edge {i}: {} ≠ {want}",
-                r.optimum.as_slice()[i]
+                r.optimum_total.as_slice()[i]
             );
         }
         // Fig. 7(b): shortest-path flow 1/2 − 2ε.
         assert!(
-            (r.free_value - e.shortest_path_flow).abs() < 1e-4,
+            (c.free_value - e.shortest_path_flow).abs() < 1e-4,
             "ε={eps}"
         );
         // Fig. 7(d): β_G = 1/2 + 2ε.
@@ -90,9 +92,9 @@ fn e3_fig7_mop() {
 
         // The strategy achieves approximation guarantee exactly 1
         // (Remark 3.1: despite [41, Ex 6.5.1], MOP hits the optimum here).
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &opts);
+        let follower = induced_multicommodity(&inst, &r.leader_total, &[c.leader_value], &opts);
         let total: Vec<f64> = r
-            .leader
+            .leader_total
             .as_slice()
             .iter()
             .zip(follower.flow.as_slice())
@@ -101,7 +103,7 @@ fn e3_fig7_mop() {
         assert!((inst.cost(&total) - e.optimum_cost).abs() < 1e-4, "ε={eps}");
 
         // Cross-check the closed-form Nash cost 2 − 4ε.
-        let nash = network_nash(&inst, &opts);
+        let nash = multicommodity_nash(&inst, &opts);
         assert!(
             (inst.cost(nash.flow.as_slice()) - e.nash_cost).abs() < 1e-4,
             "ε={eps}"

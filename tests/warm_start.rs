@@ -4,8 +4,8 @@
 //! sweeps and the engine's Beta/Tolls seeding rely on.
 
 use stackopt::equilibrium::network::{
-    try_induced_network, try_multicommodity_optimum, try_network_nash, try_network_optimum,
-    warm_seed_from,
+    try_induced_multicommodity, try_multicommodity_nash, try_multicommodity_optimum,
+    warm_seed_from_per,
 };
 use stackopt::instances::random::{random_layered_network, random_multicommodity};
 use stackopt::network::instance::{MultiCommodityInstance, NetworkInstance};
@@ -26,13 +26,13 @@ fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
 fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
     let base = random_layered_network(4, 4, 8.0, 7);
     let opts = FwOptions::default();
-    let cold_base = try_network_optimum(&base, &opts, None).unwrap();
+    let cold_base = try_multicommodity_optimum(&base, &opts, None).unwrap();
     assert!(cold_base.converged);
 
     for bump in [1.02, 1.1, 0.95] {
         let perturbed = with_rate(&base, 8.0 * bump);
-        let fresh = try_network_optimum(&perturbed, &opts, None).unwrap();
-        let warm = try_network_optimum(&perturbed, &opts, Some(&cold_base)).unwrap();
+        let fresh = try_multicommodity_optimum(&perturbed, &opts, None).unwrap();
+        let warm = try_multicommodity_optimum(&perturbed, &opts, Some(&cold_base)).unwrap();
         assert!(fresh.converged && warm.converged, "bump {bump}");
         assert!(
             warm.iterations < fresh.iterations,
@@ -50,7 +50,7 @@ fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
 fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
     let inst = random_layered_network(4, 4, 8.0, 7);
     let opts = FwOptions::default();
-    let optimum = try_network_optimum(&inst, &opts, None).unwrap();
+    let optimum = try_multicommodity_optimum(&inst, &opts, None).unwrap();
 
     // Two adjacent SCALE strategies, as in an α-sweep.
     let leader_at = |alpha: f64| {
@@ -65,9 +65,10 @@ fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
     };
     let l30 = leader_at(0.30);
     let l35 = leader_at(0.35);
-    let f30 = try_induced_network(&inst, &l30, 0.30 * inst.rate, &opts, None).unwrap();
-    let cold = try_induced_network(&inst, &l35, 0.35 * inst.rate, &opts, None).unwrap();
-    let warm = try_induced_network(&inst, &l35, 0.35 * inst.rate, &opts, Some(&f30)).unwrap();
+    let f30 = try_induced_multicommodity(&inst, &l30, &[0.30 * inst.rate], &opts, None).unwrap();
+    let cold = try_induced_multicommodity(&inst, &l35, &[0.35 * inst.rate], &opts, None).unwrap();
+    let warm =
+        try_induced_multicommodity(&inst, &l35, &[0.35 * inst.rate], &opts, Some(&f30)).unwrap();
     assert!(f30.converged && cold.converged && warm.converged);
     assert!(
         warm.iterations < cold.iterations,
@@ -126,12 +127,12 @@ fn batched_evaluation_preserves_warm_and_cold_flows() {
     use stackopt::solver::CostModel;
     let inst = stackopt::instances::try_grid_city(6, 1.0, 42).unwrap();
     let opts = FwOptions::default();
-    let cold = try_network_optimum(&inst, &opts, None).unwrap();
+    let cold = try_multicommodity_optimum(&inst, &opts, None).unwrap();
     assert!(cold.converged);
     certify_network(&inst, &cold.flow, CostModel::SystemOptimum, 1e-4).expect("cold certified");
 
     let perturbed = with_rate(&inst, 1.1);
-    let warm = try_network_optimum(&perturbed, &opts, Some(&cold)).unwrap();
+    let warm = try_multicommodity_optimum(&perturbed, &opts, Some(&cold)).unwrap();
     assert!(warm.converged);
     certify_network(&perturbed, &warm.flow, CostModel::SystemOptimum, 1e-4)
         .expect("warm certified");
@@ -182,9 +183,9 @@ fn unusable_seed_falls_back_to_cold_and_still_solves() {
     let inst = random_layered_network(3, 3, 4.0, 3);
     let opts = FwOptions::default();
     // A zero flow has no s→t value: silently ignored.
-    let zero = warm_seed_from(&EdgeFlow::zeros(inst.num_edges()));
-    let warm = try_network_nash(&inst, &opts, Some(&zero)).unwrap();
-    let cold = try_network_nash(&inst, &opts, None).unwrap();
+    let zero = warm_seed_from_per(vec![EdgeFlow::zeros(inst.num_edges())]);
+    let warm = try_multicommodity_nash(&inst, &opts, Some(&zero)).unwrap();
+    let cold = try_multicommodity_nash(&inst, &opts, None).unwrap();
     assert!(warm.converged && cold.converged);
     assert_eq!(warm.iterations, cold.iterations);
     for (a, b) in warm.flow.0.iter().zip(&cold.flow.0) {
