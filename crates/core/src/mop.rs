@@ -1,6 +1,7 @@
 //! MOP on s–t networks (Corollary 2.3): the one-commodity case of
 //! [`mop_multi`](crate::mop_multi), checked against the paper's Fig. 7.
 
+#[cfg(test)]
 mod tests {
     use crate::mop_multi::mop_multi;
     use sopt_equilibrium::network::induced_multicommodity;
@@ -141,6 +142,37 @@ mod tests {
         let r = mop_multi(&inst, &FwOptions::default());
         assert!(r.beta.abs() < 1e-6, "β = {}", r.beta);
         assert!(r.leader_total.as_slice().iter().all(|x| x.abs() < 1e-6));
+    }
+
+    /// The greedy ablation of MOP: decompose the optimum into paths and
+    /// leave free only the pieces that ride shortest paths under the optimal
+    /// edge costs. A greedy decomposition can waste shortest-path capacity,
+    /// so its β bounds MOP's exact (max-flow) β from above.
+    fn greedy_beta(inst: &NetworkInstance, opts: &FwOptions) -> f64 {
+        use sopt_equilibrium::network::multicommodity_optimum;
+        use sopt_network::flow::decompose;
+        use sopt_network::spath::dijkstra;
+        let optimum = multicommodity_optimum(inst, opts).flow;
+        let costs = inst.edge_costs(optimum.as_slice());
+        let dist = dijkstra(&inst.graph, &costs, inst.source).dist[inst.sink.idx()];
+        let tol = 1e-6 * dist.abs().max(1.0);
+        let free: f64 = decompose(&inst.graph, &optimum, inst.source, inst.sink)
+            .paths
+            .iter()
+            .filter(|(path, _)| (path.cost(&costs) - dist).abs() <= tol)
+            .map(|(_, amount)| amount)
+            .sum();
+        (inst.rate - free).max(0.0) / inst.rate
+    }
+
+    #[test]
+    fn exact_beta_never_exceeds_greedy() {
+        for &eps in &[0.0, 0.05] {
+            let inst = fig7(eps);
+            let exact = mop_multi(&inst, &FwOptions::default());
+            let greedy = greedy_beta(&inst, &FwOptions::default());
+            assert!(exact.beta <= greedy + 1e-9);
+        }
     }
 
     #[test]
