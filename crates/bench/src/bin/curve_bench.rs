@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use sopt_core::curve::{anarchy_curve_multi, CurveOptions, CurveStrategy};
-use sopt_instances::random::random_multicommodity;
+use sopt_instances::random::try_random_multicommodity;
 use sopt_network::instance::MultiCommodityInstance;
 use sopt_solver::frank_wolfe::FwOptions;
 
@@ -128,9 +128,9 @@ fn main() {
 
     // Shared layered cores with 2–3 contending commodities — the same
     // family the warm-start tests and the engine's multi scenarios use.
-    let small = random_multicommodity(3, 3, 2, 6.0, 11);
-    let medium = random_multicommodity(4, 4, 3, 12.0, 23);
-    let wide = random_multicommodity(3, 5, 3, 15.0, 41);
+    let small = try_random_multicommodity(3, 3, 2, 6.0, 11).unwrap();
+    let medium = try_random_multicommodity(4, 4, 3, 12.0, 23).unwrap();
+    let wide = try_random_multicommodity(3, 5, 3, 15.0, 41).unwrap();
 
     let cases = [
         measure("multi-3x3-k2", &small, CurveStrategy::Strong),

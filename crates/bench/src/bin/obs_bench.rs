@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use sopt_core::curve::{anarchy_curve_multi, CurveOptions};
 use sopt_instances::braess::{braess_classic, fig7_instance};
-use sopt_instances::random::random_layered_network;
+use sopt_instances::random::try_random_layered_network;
 use sopt_network::instance::NetworkInstance;
 use sopt_solver::frank_wolfe::FwOptions;
 
@@ -71,8 +71,14 @@ fn instances() -> Vec<(&'static str, NetworkInstance)> {
     vec![
         ("fig7-eps0.05", fig7_instance(0.05)),
         ("braess-classic", braess_classic()),
-        ("layered-4x4", random_layered_network(4, 4, 8.0, 7)),
-        ("layered-6x6", random_layered_network(6, 6, 20.0, 11)),
+        (
+            "layered-4x4",
+            try_random_layered_network(4, 4, 8.0, 7).unwrap(),
+        ),
+        (
+            "layered-6x6",
+            try_random_layered_network(6, 6, 20.0, 11).unwrap(),
+        ),
     ]
 }
 

@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use sopt_equilibrium::network::{try_multicommodity_nash, warm_seed_from_per};
-use sopt_instances::random::random_layered_network;
+use sopt_instances::random::try_random_layered_network;
 use sopt_latency::LatencyFn;
 use sopt_network::instance::NetworkInstance;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
@@ -181,9 +181,18 @@ fn main() {
     // The same layered family the curve and engine baselines use, single
     // commodity — the class the network pricing task runs on.
     let cases = [
-        measure("net-3x3", &random_layered_network(3, 3, 6.0, 11)),
-        measure("net-4x4", &random_layered_network(4, 4, 12.0, 23)),
-        measure("net-3x5", &random_layered_network(3, 5, 15.0, 41)),
+        measure(
+            "net-3x3",
+            &try_random_layered_network(3, 3, 6.0, 11).unwrap(),
+        ),
+        measure(
+            "net-4x4",
+            &try_random_layered_network(4, 4, 12.0, 23).unwrap(),
+        ),
+        measure(
+            "net-3x5",
+            &try_random_layered_network(3, 5, 15.0, 41).unwrap(),
+        ),
     ];
 
     let cold_total: usize = cases.iter().map(|c| c.cold_iters).sum();

@@ -33,7 +33,7 @@ use sopt_network::graph::NodeId;
 use sopt_network::instance::NetworkInstance;
 use sopt_network::EdgeFlow;
 use sopt_solver::aon::aon_assign_targets;
-use sopt_solver::frank_wolfe::{try_solve_multicommodity, FwOptions};
+use sopt_solver::frank_wolfe::{try_solve_warm_multicommodity, FwOptions};
 use sopt_solver::{AonMode, CommodityGroups, CostModel};
 use stackopt::api::{parse_batch_file, Engine};
 use stackopt::fleet::{generate_fleet, Family};
@@ -65,8 +65,9 @@ fn solve_timed(inst: &NetworkInstance, reps: usize) -> SolveNumbers {
     let mut iters = 0;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
-        let r = try_solve_multicommodity(inst, CostModel::Wardrop, &FwOptions::default())
-            .expect("grid solve");
+        let r =
+            try_solve_warm_multicommodity(inst, CostModel::Wardrop, &FwOptions::default(), None)
+                .expect("grid solve");
         secs = secs.min(t.elapsed().as_secs_f64());
         iters = r.iterations;
     }

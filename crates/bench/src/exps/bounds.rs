@@ -4,7 +4,7 @@ use sopt_core::llf::llf;
 use sopt_core::scale::scale;
 use sopt_equilibrium::cost::coordination_ratio;
 use sopt_equilibrium::parallel::ParallelLinks;
-use sopt_instances::random::{random_affine, random_mixed};
+use sopt_instances::random::{try_random_affine, try_random_mixed};
 use sopt_latency::LatencyFn;
 use sopt_solver::sweep::par_map;
 
@@ -28,16 +28,16 @@ pub fn e8_llf_scale_bounds() {
     ]);
     for &alpha in &alphas {
         let mixed = par_map(&seeds, |&s| {
-            let links = random_mixed(5, 1.5, s);
-            let co = links.cost(links.optimum().flows());
-            let (_, c) = llf(&links, alpha);
+            let links = try_random_mixed(5, 1.5, s).unwrap();
+            let co = links.cost(links.try_optimum().unwrap().flows());
+            let (_, c) = llf(&links, alpha).unwrap();
             c / co
         });
         let linear: Vec<(f64, f64)> = par_map(&seeds, |&s| {
-            let links = random_affine(5, 1.5, s);
-            let co = links.cost(links.optimum().flows());
-            let (_, cl) = llf(&links, alpha);
-            let (_, cs) = scale(&links, alpha);
+            let links = try_random_affine(5, 1.5, s).unwrap();
+            let co = links.cost(links.try_optimum().unwrap().flows());
+            let (_, cl) = llf(&links, alpha).unwrap();
+            let (_, cs) = scale(&links, alpha).unwrap();
             (cl / co, cs / co)
         });
         let max_mixed = mixed.into_iter().fold(f64::NEG_INFINITY, f64::max);
@@ -69,17 +69,17 @@ pub fn e10_poa_bounds() {
     println!("\n=== E10: coordination ratio (Expression (1)) ===");
     let seeds: Vec<u64> = (0..200).collect();
     let ratios = par_map(&seeds, |&s| {
-        let links = random_affine(4, 1.0 + (s % 7) as f64 * 0.3, s);
-        let cn = links.cost(links.nash().flows());
-        let co = links.cost(links.optimum().flows());
+        let links = try_random_affine(4, 1.0 + (s % 7) as f64 * 0.3, s).unwrap();
+        let cn = links.cost(links.try_nash().unwrap().flows());
+        let co = links.cost(links.try_optimum().unwrap().flows());
         coordination_ratio(cn, co)
     });
     let max_ratio = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let pigou = {
         let links = sopt_instances::pigou::pigou_links();
         coordination_ratio(
-            links.cost(links.nash().flows()),
-            links.cost(links.optimum().flows()),
+            links.cost(links.try_nash().unwrap().flows()),
+            links.cost(links.try_optimum().unwrap().flows()),
         )
     };
     let mut t = Table::new(["ensemble", "instances", "max ratio", "4/3 bound"]);
@@ -110,8 +110,8 @@ pub fn e10_poa_bounds() {
         let c = 1.0 / util; // rate 1, capacity c
         let bypass = 1.0 / (c - 1.0);
         let links = ParallelLinks::new(vec![LatencyFn::mm1(c), LatencyFn::constant(bypass)], 1.0);
-        let cn = links.cost(links.nash().flows());
-        let co = links.cost(links.optimum().flows());
+        let cn = links.cost(links.try_nash().unwrap().flows());
+        let co = links.cost(links.try_optimum().unwrap().flows());
         t.row([format!("{util}"), f(cn), f(co), f(cn / co)]);
         assert!(cn / co > prev_ratio, "ratio must grow with utilisation");
         prev_ratio = cn / co;

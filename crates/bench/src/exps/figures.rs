@@ -1,10 +1,10 @@
 //! E1–E4: the paper's worked figures, regenerated.
 
-use sopt_core::mop_multi::mop_multi;
-use sopt_core::optop::optop;
+use sopt_core::mop_multi::try_mop_multi;
+use sopt_core::optop::try_optop;
 use sopt_core::theorems::swap_reassignment;
 use sopt_equilibrium::cost::coordination_ratio;
-use sopt_equilibrium::network::{induced_multicommodity, multicommodity_nash};
+use sopt_equilibrium::network::{try_induced_multicommodity, try_multicommodity_nash};
 use sopt_instances::braess::{fig7_expected, fig7_instance};
 use sopt_instances::fig4::{fig4_expected, fig4_links};
 use sopt_instances::pigou::{pigou_expected, pigou_links};
@@ -18,10 +18,10 @@ pub fn e1_pigou() {
     println!("\n=== E1: Pigou's example (Figs. 1–3) ===");
     let links = pigou_links();
     let e = pigou_expected();
-    let nash = links.nash();
-    let opt = links.optimum();
-    let r = optop(&links);
-    let induced = links.induced(&r.strategy);
+    let nash = links.try_nash().unwrap();
+    let opt = links.try_optimum().unwrap();
+    let r = try_optop(&links).unwrap();
+    let induced = links.try_induced(&r.strategy).unwrap();
 
     let mut t = Table::new(["quantity", "paper", "measured"]);
     t.row([
@@ -64,7 +64,7 @@ pub fn e2_optop_trace() {
     println!("\n=== E2: OpTop walkthrough (Figs. 4–6) ===");
     let links = fig4_links();
     let e = fig4_expected();
-    let r = optop(&links);
+    let r = try_optop(&links).unwrap();
 
     let mut t = Table::new([
         "link",
@@ -101,7 +101,7 @@ pub fn e2_optop_trace() {
             .collect::<Vec<_>>()
     );
     println!("β_M = {} (closed form {})", f(r.beta), f(e.beta));
-    let induced = links.induced(&r.strategy);
+    let induced = links.try_induced(&r.strategy).unwrap();
     println!(
         "C(N) = {}  C(O) = {}  C(S+T) = {}",
         f(r.nash_cost),
@@ -129,10 +129,12 @@ pub fn e3_fig7_mop() {
     for &eps in &[0.0, 0.01, 0.05, 0.1, 0.2] {
         let inst = fig7_instance(eps);
         let e = fig7_expected(eps);
-        let r = mop_multi(&inst, &opts);
+        let r = try_mop_multi(&inst, &opts).unwrap();
         let c = &r.commodities[0];
-        let nash = multicommodity_nash(&inst, &opts);
-        let follower = induced_multicommodity(&inst, &r.leader_total, &[c.leader_value], &opts);
+        let nash = try_multicommodity_nash(&inst, &opts, None).unwrap();
+        let follower =
+            try_induced_multicommodity(&inst, &r.leader_total, &[c.leader_value], &opts, None)
+                .unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()

@@ -3,13 +3,13 @@
 
 use sopt_core::brute::{brute_force_optimal, BruteOptions};
 use sopt_core::linear_optimal::linear_optimal_strategy;
-use sopt_core::optop::optop;
+use sopt_core::optop::try_optop;
 use sopt_core::threshold::{empirical_improvement_threshold, improvement_threshold_lower_bound};
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_instances::fig4::fig4_links;
 use sopt_instances::hard::random_weight_instance;
 use sopt_instances::pigou::pigou_links;
-use sopt_instances::random::random_common_slope;
+use sopt_instances::random::try_random_common_slope;
 use sopt_solver::sweep::par_map;
 
 use crate::table::{f, Table};
@@ -26,9 +26,9 @@ pub fn e6_theorem24_vs_brute() {
         }
     }
     let rows = par_map(&points, |&(m, seed, alpha)| {
-        let links = random_common_slope(m, 1.0, seed * 1000 + m as u64);
-        let exact = linear_optimal_strategy(&links, alpha);
-        let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
+        let links = try_random_common_slope(m, 1.0, seed * 1000 + m as u64).unwrap();
+        let exact = linear_optimal_strategy(&links, alpha).unwrap();
+        let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default()).unwrap();
         (m, seed, alpha, exact.cost, brute, exact.beta)
     });
     let mut worst_excess = f64::NEG_INFINITY; // exact − brute (≤ 0 expected)
@@ -67,8 +67,8 @@ pub fn e6_theorem24_vs_brute() {
     for seed in 0..6u64 {
         let links = random_weight_instance(3, 10, seed);
         for &alpha in &[0.15, 0.3] {
-            let exact = linear_optimal_strategy(&links, alpha);
-            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
+            let exact = linear_optimal_strategy(&links, alpha).unwrap();
+            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default()).unwrap();
             worst = worst.max(exact.cost - brute);
         }
     }
@@ -92,15 +92,15 @@ pub fn e7_beta_minimality() {
         ("fig4".into(), fig4_links()),
         (
             "common-slope m=3 #1".into(),
-            random_common_slope(3, 1.0, 17),
+            try_random_common_slope(3, 1.0, 17).unwrap(),
         ),
         (
             "common-slope m=4 #2".into(),
-            random_common_slope(4, 1.0, 99),
+            try_random_common_slope(4, 1.0, 99).unwrap(),
         ),
     ];
     for (name, links) in &common {
-        let ot = optop(links);
+        let ot = try_optop(links).unwrap();
         let best_at = |alpha: f64| -> f64 {
             // Use the exact algorithm where applicable, else brute force.
             let all_affine_common = links.latencies().iter().all(|l| {
@@ -114,9 +114,11 @@ pub fn e7_beta_minimality() {
                 })
             });
             if all_affine_common {
-                linear_optimal_strategy(links, alpha).cost
+                linear_optimal_strategy(links, alpha).unwrap().cost
             } else {
-                brute_force_optimal(links, alpha, &BruteOptions::default()).1
+                brute_force_optimal(links, alpha, &BruteOptions::default())
+                    .unwrap()
+                    .1
             }
         };
         let co = ot.optimum_cost;
@@ -161,13 +163,17 @@ pub fn e13_threshold() {
     for seed in [5u64, 23, 41] {
         instances.push((
             format!("common-slope m=3 seed {seed}"),
-            random_common_slope(3, 1.0, seed),
+            try_random_common_slope(3, 1.0, seed).unwrap(),
         ));
     }
     for (name, links) in &instances {
-        let lb = improvement_threshold_lower_bound(links);
-        let emp =
-            empirical_improvement_threshold(links, |l, a| linear_optimal_strategy(l, a).cost, 1e-9);
+        let lb = improvement_threshold_lower_bound(links).unwrap();
+        let emp = empirical_improvement_threshold(
+            links,
+            |l, a| linear_optimal_strategy(l, a).unwrap().cost,
+            1e-9,
+        )
+        .unwrap();
         let ok = emp >= lb - 1e-6;
         t.row([
             name.clone(),

@@ -1,7 +1,7 @@
 //! E9 — the paper's §2 claim on M/M/1 systems: small appealing groups and
 //! large identical groups make the price of optimum significantly small.
 
-use sopt_core::optop::optop;
+use sopt_core::optop::try_optop;
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_instances::mm1_families::{appealing_group, identical_links, spread_links};
 
@@ -49,7 +49,7 @@ pub fn e9_mm1_beta() {
     let mut appealing_max = 0.0f64;
     let mut spread_min = f64::INFINITY;
     for (name, links) in &families {
-        let r = optop(links);
+        let r = try_optop(links).unwrap();
         let kind = if name.starts_with("identical") {
             identical_max = identical_max.max(r.beta);
             "identical group"

@@ -1,7 +1,7 @@
 //! E11 — Theorem 2.1: the price of optimum on k-commodity networks.
 
-use sopt_core::mop_multi::mop_multi;
-use sopt_equilibrium::network::{induced_multicommodity, multicommodity_nash};
+use sopt_core::mop_multi::try_mop_multi;
+use sopt_equilibrium::network::{try_induced_multicommodity, try_multicommodity_nash};
 use sopt_latency::LatencyFn;
 use sopt_network::graph::{DiGraph, NodeId};
 use sopt_network::instance::{Commodity, MultiCommodityInstance, Network};
@@ -129,10 +129,11 @@ pub fn e11_multicommodity() {
         "C(S+T)",
     ]);
     for (name, inst) in &instances {
-        let r = mop_multi(inst, &opts);
-        let nash = multicommodity_nash(inst, &opts);
+        let r = try_mop_multi(inst, &opts).unwrap();
+        let nash = try_multicommodity_nash(inst, &opts, None).unwrap();
         let values: Vec<f64> = r.commodities.iter().map(|c| c.leader_value).collect();
-        let follower = induced_multicommodity(inst, &r.leader_total, &values, &opts);
+        let follower =
+            try_induced_multicommodity(inst, &r.leader_total, &values, &opts, None).unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()

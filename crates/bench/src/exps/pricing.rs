@@ -7,13 +7,13 @@
 //! from all users* (revenue `Σ o_e·τ_e`) — and tolls generalise beyond
 //! parallel links without the β_G premium.
 
-use sopt_core::optop::optop;
-use sopt_core::tolls::marginal_cost_tolls;
+use sopt_core::optop::try_optop;
+use sopt_core::tolls::try_marginal_cost_tolls;
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_instances::fig4::fig4_links;
 use sopt_instances::mm1_families::spread_links;
 use sopt_instances::pigou::pigou_links;
-use sopt_instances::random::random_affine;
+use sopt_instances::random::try_random_affine;
 use sopt_latency::Latency;
 
 use crate::table::{f, Table};
@@ -24,7 +24,7 @@ pub fn e15_control_vs_pricing() {
     let instances: Vec<(String, ParallelLinks)> = vec![
         ("pigou".into(), pigou_links()),
         ("fig4".into(), fig4_links()),
-        ("affine m=5".into(), random_affine(5, 1.5, 3)),
+        ("affine m=5".into(), try_random_affine(5, 1.5, 3).unwrap()),
         ("mm1 spread ×6".into(), spread_links(6, 1.0, 1.3, 8.0)),
     ];
     let mut t = Table::new([
@@ -35,12 +35,12 @@ pub fn e15_control_vs_pricing() {
         "tolled C(N')/C(O)",
     ]);
     for (name, links) in &instances {
-        let ot = optop(links);
-        let tl = marginal_cost_tolls(links);
-        let stackelberg_ratio = links.induced_cost(&ot.strategy) / ot.optimum_cost;
+        let ot = try_optop(links).unwrap();
+        let tl = try_marginal_cost_tolls(links).unwrap();
+        let stackelberg_ratio = links.try_induced_cost(&ot.strategy).unwrap() / ot.optimum_cost;
         // Latency-only cost at the tolled equilibrium (tolls are transfers,
         // not burned): evaluate the original latencies at the tolled Nash.
-        let tolled_nash = tl.tolled.nash();
+        let tolled_nash = tl.tolled.try_nash().unwrap();
         let tolled_ratio = links.cost(tolled_nash.flows()) / ot.optimum_cost;
         t.row([
             name.clone(),

@@ -1,11 +1,11 @@
 //! E12 — the structure theorems as randomized invariants (Prop 7.1,
 //! Thm 7.2, Thm 7.4/Lemma 7.5) plus the OpTop end-to-end certificate.
 
-use sopt_core::optop::optop;
+use sopt_core::optop::try_optop;
 use sopt_core::theorems::{
     frozen_induced_flow, monotonicity_violation, useless_strategy_deviation,
 };
-use sopt_instances::random::random_mixed;
+use sopt_instances::random::try_random_mixed;
 use sopt_solver::sweep::par_map;
 
 use crate::table::{f, Table};
@@ -18,33 +18,39 @@ pub fn e12_invariants() {
 
     // Prop 7.1: Nash monotonicity in the rate.
     let mono = par_map(&seeds, |&s| {
-        let links = random_mixed(5, 2.0, s);
+        let links = try_random_mixed(5, 2.0, s).unwrap();
         let r_small = 0.2 + (s % 9) as f64 * 0.2;
-        monotonicity_violation(links.latencies(), r_small.min(2.0), 2.0)
+        monotonicity_violation(links.latencies(), r_small.min(2.0), 2.0).unwrap()
     });
     let mono_viol = mono.iter().filter(|v| **v > TOL).count();
     let mono_max = mono.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
 
     // Thm 7.2: sub-Nash strategies are invisible.
     let useless = par_map(&seeds, |&s| {
-        let links = random_mixed(4, 1.0, s);
+        let links = try_random_mixed(4, 1.0, s).unwrap();
         let frac = (s % 10) as f64 / 10.0;
-        let strat: Vec<f64> = links.nash().flows().iter().map(|n| n * frac).collect();
-        useless_strategy_deviation(&links, &strat)
+        let strat: Vec<f64> = links
+            .try_nash()
+            .unwrap()
+            .flows()
+            .iter()
+            .map(|n| n * frac)
+            .collect();
+        useless_strategy_deviation(&links, &strat).unwrap()
     });
     let useless_viol = useless.iter().filter(|v| **v > TOL).count();
     let useless_max = useless.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
 
     // Thm 7.4 / L 7.5: frozen links get nothing.
     let frozen = par_map(&seeds, |&s| {
-        let links = random_mixed(4, 1.0, s);
-        let nash = links.nash().flows().to_vec();
+        let links = try_random_mixed(4, 1.0, s).unwrap();
+        let nash = links.try_nash().unwrap().flows().to_vec();
         let k = (s % 4) as usize;
         let bump = (s % 7) as f64 * 0.04;
         let mut strat = vec![0.0; 4];
         strat[k] = (nash[k] + bump).min(links.rate());
         match links.try_induced(&strat) {
-            Ok(_) => frozen_induced_flow(&links, &strat),
+            Ok(_) => frozen_induced_flow(&links, &strat).unwrap(),
             Err(_) => 0.0, // capacity-infeasible probe: skip
         }
     });
@@ -53,9 +59,9 @@ pub fn e12_invariants() {
 
     // Corollary 2.2 end-to-end: OpTop enforces C(O).
     let optop_dev = par_map(&seeds, |&s| {
-        let links = random_mixed(5, 1.5, s);
-        let r = optop(&links);
-        let c = links.induced_cost(&r.strategy);
+        let links = try_random_mixed(5, 1.5, s).unwrap();
+        let r = try_optop(&links).unwrap();
+        let c = links.try_induced_cost(&r.strategy).unwrap();
         (c - r.optimum_cost).abs() / r.optimum_cost.max(1e-12)
     });
     let optop_viol = optop_dev.iter().filter(|v| **v > 1e-5).count();

@@ -3,6 +3,7 @@
 //! anchors at this baseline (`α = 0`, cost `C(N)`).
 
 use sopt_equilibrium::parallel::ParallelLinks;
+use sopt_solver::equalize::EqualizeError;
 
 /// The all-zeros strategy.
 pub fn aloof_strategy(m: usize) -> Vec<f64> {
@@ -10,10 +11,10 @@ pub fn aloof_strategy(m: usize) -> Vec<f64> {
 }
 
 /// Evaluate Aloof: `(strategy, C(N))`.
-pub fn aloof(links: &ParallelLinks) -> (Vec<f64>, f64) {
+pub fn aloof(links: &ParallelLinks) -> Result<(Vec<f64>, f64), EqualizeError> {
     let s = aloof_strategy(links.m());
-    let c = links.induced_cost(&s);
-    (s, c)
+    let c = links.try_induced_cost(&s)?;
+    Ok((s, c))
 }
 
 #[cfg(test)]
@@ -31,9 +32,9 @@ mod tests {
             ],
             1.5,
         );
-        let (s, c) = aloof(&links);
+        let (s, c) = aloof(&links).unwrap();
         assert!(s.iter().all(|x| *x == 0.0));
-        let cn = links.cost(links.nash().flows());
+        let cn = links.cost(links.try_nash().unwrap().flows());
         assert!((c - cn).abs() < 1e-7);
     }
 }

@@ -7,6 +7,7 @@
 //! (Experiment E6) and OpTop's minimality (Experiment E7).
 
 use sopt_equilibrium::parallel::ParallelLinks;
+use sopt_solver::equalize::EqualizeError;
 
 use crate::llf::llf_strategy;
 use crate::scale::scale_strategy;
@@ -41,7 +42,7 @@ pub fn brute_force_optimal(
     links: &ParallelLinks,
     alpha: f64,
     opts: &BruteOptions,
-) -> (Vec<f64>, f64) {
+) -> Result<(Vec<f64>, f64), EqualizeError> {
     assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
     let m = links.m();
     let budget = alpha * links.rate();
@@ -63,9 +64,9 @@ pub fn brute_force_optimal(
 
     // Seeds from the known heuristics.
     for s in [
-        proportional_nash(links, budget),
-        llf_strategy(links, alpha),
-        scale_strategy(links, alpha),
+        proportional_nash(links, budget)?,
+        llf_strategy(links, alpha)?,
+        scale_strategy(links, alpha)?,
     ] {
         let c = eval(&s);
         consider(s, c, &mut best, &mut best_cost);
@@ -146,15 +147,15 @@ pub fn brute_force_optimal(
         }
     }
 
-    (best, best_cost)
+    Ok((best, best_cost))
 }
 
 /// The "useless" seed: a proportional slice of the Nash assignment (induces
 /// exactly `C(N)` by Theorem 7.2 — the anchor any useful strategy must beat).
-fn proportional_nash(links: &ParallelLinks, budget: f64) -> Vec<f64> {
-    let n = links.nash();
+fn proportional_nash(links: &ParallelLinks, budget: f64) -> Result<Vec<f64>, EqualizeError> {
+    let n = links.try_nash()?;
     let r = links.rate();
-    n.flows().iter().map(|x| x * budget / r).collect()
+    Ok(n.flows().iter().map(|x| x * budget / r).collect())
 }
 
 #[cfg(test)]
@@ -165,7 +166,7 @@ mod tests {
     #[test]
     fn pigou_brute_matches_optop_at_beta() {
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let (s, c) = brute_force_optimal(&links, 0.5, &BruteOptions::default());
+        let (s, c) = brute_force_optimal(&links, 0.5, &BruteOptions::default()).unwrap();
         assert!((c - 0.75).abs() < 1e-6, "cost {c}");
         assert!((s[1] - 0.5).abs() < 1e-3, "{s:?}");
     }
@@ -173,7 +174,7 @@ mod tests {
     #[test]
     fn zero_alpha_is_nash() {
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let (_, c) = brute_force_optimal(&links, 0.0, &BruteOptions::default());
+        let (_, c) = brute_force_optimal(&links, 0.0, &BruteOptions::default()).unwrap();
         assert!((c - 1.0).abs() < 1e-9);
     }
 
@@ -184,8 +185,8 @@ mod tests {
             1.0,
         );
         for &alpha in &[0.1, 0.2, 0.3] {
-            let exact = crate::linear_optimal::linear_optimal_strategy(&links, alpha);
-            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
+            let exact = crate::linear_optimal::linear_optimal_strategy(&links, alpha).unwrap();
+            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default()).unwrap();
             assert!(
                 (exact.cost - brute).abs() < 1e-5,
                 "α={alpha}: Theorem 2.4 gives {}, brute force {brute}",
@@ -205,11 +206,11 @@ mod tests {
             ],
             1.0,
         );
-        let (s, c) = brute_force_optimal(&links, 0.3, &BruteOptions::default());
+        let (s, c) = brute_force_optimal(&links, 0.3, &BruteOptions::default()).unwrap();
         let total: f64 = s.iter().sum();
         assert!((total - 0.3).abs() < 1e-9);
         // Never worse than doing nothing.
-        let cn = links.cost(links.nash().flows());
+        let cn = links.cost(links.try_nash().unwrap().flows());
         assert!(c <= cn + 1e-7);
     }
 
@@ -217,7 +218,7 @@ mod tests {
     fn mm1_capacity_probes_are_safe() {
         // Strategy space touches the M/M/1 capacity; eval must not panic.
         let links = ParallelLinks::new(vec![LatencyFn::mm1(0.6), LatencyFn::affine(1.0, 0.0)], 1.0);
-        let (_, c) = brute_force_optimal(&links, 0.9, &BruteOptions::default());
+        let (_, c) = brute_force_optimal(&links, 0.9, &BruteOptions::default()).unwrap();
         assert!(c.is_finite());
     }
 }

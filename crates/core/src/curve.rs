@@ -13,6 +13,7 @@ use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
 use sopt_network::flow::EdgeFlow;
 use sopt_network::instance::Network;
+use sopt_solver::equalize::EqualizeError;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
 use crate::brute::{brute_force_optimal, BruteOptions};
@@ -20,7 +21,7 @@ use crate::error::CoreError;
 use crate::linear_optimal::linear_optimal_strategy;
 use crate::llf::llf;
 use crate::mop_multi::{try_mop_multi_with_optimum, MopMultiResult};
-use crate::optop::optop;
+use crate::optop::try_optop;
 use crate::scale::scale;
 
 /// Which oracle produced a curve point's cost.
@@ -83,8 +84,8 @@ fn is_common_slope(links: &ParallelLinks) -> bool {
 /// Oracle selection: Theorem 2.4 where exact (common-slope affine), brute
 /// force for small systems (`m ≤ 3`), otherwise the best heuristic upper
 /// bound. Points at `α ≥ β_M` are always exact (`= 1`, Corollary 2.2).
-pub fn anarchy_curve(links: &ParallelLinks, alphas: &[f64]) -> AnarchyCurve {
-    let ot = optop(links);
+pub fn anarchy_curve(links: &ParallelLinks, alphas: &[f64]) -> Result<AnarchyCurve, EqualizeError> {
+    let ot = try_optop(links)?;
     let exact_class = is_common_slope(links);
     let small = links.m() <= 3;
 
@@ -95,19 +96,19 @@ pub fn anarchy_curve(links: &ParallelLinks, alphas: &[f64]) -> AnarchyCurve {
         assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
         let (cost, oracle) = if exact_class {
             (
-                linear_optimal_strategy(links, alpha).cost,
+                linear_optimal_strategy(links, alpha)?.cost,
                 CurveOracle::Exact,
             )
         } else if alpha >= ot.beta {
             // Corollary 2.2: pad the OpTop strategy with mimicking flow.
             let strategy = pad(&ot.strategy, &ot.optimum, alpha * links.rate());
-            (links.induced_cost(&strategy), CurveOracle::Exact)
+            (links.try_induced_cost(&strategy)?, CurveOracle::Exact)
         } else if small {
-            let (_, c) = brute_force_optimal(links, alpha, &BruteOptions::default());
+            let (_, c) = brute_force_optimal(links, alpha, &BruteOptions::default())?;
             (c, CurveOracle::BruteForce)
         } else {
-            let (_, c_llf) = llf(links, alpha);
-            let (_, c_scale) = scale(links, alpha);
+            let (_, c_llf) = llf(links, alpha)?;
+            let (_, c_scale) = scale(links, alpha)?;
             // Proportional Nash (useless strategy) anchors at C(N).
             (
                 c_llf.min(c_scale).min(ot.nash_cost),
@@ -121,12 +122,12 @@ pub fn anarchy_curve(links: &ParallelLinks, alphas: &[f64]) -> AnarchyCurve {
             oracle,
         });
     }
-    AnarchyCurve {
+    Ok(AnarchyCurve {
         points,
         beta: ot.beta,
         nash_cost: ot.nash_cost,
         optimum_cost: ot.optimum_cost,
-    }
+    })
 }
 
 /// How a Leader splits her portion across the commodities of a
@@ -538,7 +539,7 @@ mod tests {
     #[test]
     fn pigou_curve_shape() {
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let c = anarchy_curve(&links, &alphas());
+        let c = anarchy_curve(&links, &alphas()).unwrap();
         assert!((c.beta - 0.5).abs() < 1e-9);
         // Starts at the coordination ratio 4/3…
         assert!((c.points[0].ratio - 4.0 / 3.0).abs() < 1e-6);
@@ -567,7 +568,7 @@ mod tests {
             vec![LatencyFn::affine(1.0, 0.0), LatencyFn::affine(1.0, 0.5)],
             1.0,
         );
-        let c = anarchy_curve(&links, &[0.1, 0.3, 0.9]);
+        let c = anarchy_curve(&links, &[0.1, 0.3, 0.9]).unwrap();
         assert!(c.points.iter().all(|p| p.oracle == CurveOracle::Exact));
     }
 
@@ -582,7 +583,7 @@ mod tests {
             ],
             1.0,
         );
-        let c = anarchy_curve(&links, &[0.05, 0.9]);
+        let c = anarchy_curve(&links, &[0.05, 0.9]).unwrap();
         // Below β: heuristic; above: exact (OpTop padding).
         assert_eq!(c.points[0].oracle, CurveOracle::HeuristicUpperBound);
         assert_eq!(c.points[1].oracle, CurveOracle::Exact);
@@ -892,7 +893,7 @@ mod tests {
             ],
             1.0,
         );
-        let c = anarchy_curve(&links, &alphas());
+        let c = anarchy_curve(&links, &alphas()).unwrap();
         for p in &c.points {
             assert!(p.cost >= c.optimum_cost - 1e-9);
             assert!(p.cost <= c.nash_cost + 1e-7);

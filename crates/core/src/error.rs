@@ -1,12 +1,13 @@
 //! Typed failure modes of the paper's algorithms.
 //!
-//! The `try_` entry points ([`crate::mop_multi::try_mop_multi`],
-//! [`crate::optop::try_optop`],
-//! [`crate::tolls::try_marginal_cost_tolls_multi`]) return these instead
-//! of panicking; the panicking wrappers (`mop_multi`, `optop`, …) stay as thin
-//! conveniences for exploratory code. Downstream, `stackopt::api` folds
-//! both this and [`sopt_solver::equalize::EqualizeError`] into its single
-//! `SoptError`.
+//! Every algorithm has one entry point, and it returns its failure as a
+//! value: the network algorithms ([`crate::mop_multi::try_mop_multi`],
+//! [`crate::tolls::try_marginal_cost_tolls_multi`]) return this enum, the
+//! parallel-links ones ([`crate::optop::try_optop`], LLF, SCALE, the
+//! Theorem 2.4 strategy, the curve) return
+//! [`sopt_solver::equalize::EqualizeError`]. Only caller preconditions
+//! (`α ∈ [0, 1]`, one load per link) are asserted. Downstream,
+//! `stackopt::api` folds both into its single `SoptError`.
 
 use sopt_solver::equalize::EqualizeError;
 use sopt_solver::error::SolverError;

@@ -16,11 +16,11 @@
 //!
 //! The headline API:
 //!
-//! * [`optop::optop`] — the minimum portion `β_M` of flow a Leader must
+//! * [`optop::try_optop`] — the minimum portion `β_M` of flow a Leader must
 //!   control to *enforce the optimum* on a parallel-links instance, with her
 //!   optimal strategy; polynomial time (Corollary 2.2), eluding the weak
 //!   NP-hardness of general optimal-Stackelberg ([40, Thm 6.1]);
-//! * [`mop_multi::mop_multi`] — the same on arbitrary s–t networks
+//! * [`mop_multi::try_mop_multi`] — the same on arbitrary s–t networks
 //!   (Corollary 2.3) and k-commodity networks (Theorem 2.1);
 //! * [`linear_optimal::linear_optimal_strategy`] — the optimal strategy on
 //!   the *hard* side `α < β_M` for common-slope linear latencies.
@@ -46,5 +46,5 @@ pub use curve::{
     NetworkCurvePoint,
 };
 pub use error::CoreError;
-pub use mop_multi::{mop_multi, try_mop_multi, try_mop_multi_with_optimum, MopMultiResult};
-pub use optop::{optop, try_optop, OpTopResult};
+pub use mop_multi::{try_mop_multi, try_mop_multi_with_optimum, MopMultiResult};
+pub use optop::{try_optop, OpTopResult};

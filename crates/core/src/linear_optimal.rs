@@ -21,11 +21,11 @@
 
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::{Latency, LatencyFn};
-use sopt_solver::equalize::equalize;
+use sopt_solver::equalize::{equalize, EqualizeError};
 use sopt_solver::objective::CostModel;
 use sopt_solver::roots::{bisect_predicate, golden_min};
 
-use crate::optop::optop;
+use crate::optop::try_optop;
 
 /// How the optimal strategy was realised.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,15 +94,18 @@ fn common_slope(links: &ParallelLinks) -> (f64, Vec<f64>) {
 /// Compute the optimal Stackelberg strategy for `(M, r, α)` with
 /// `ℓ_i = a·x + b_i`. Polynomial time for every `α ∈ [0, 1]`
 /// (Theorem 2.4 for `α < β_M`, Corollary 2.2 otherwise).
-pub fn linear_optimal_strategy(links: &ParallelLinks, alpha: f64) -> LinearOptimalResult {
+pub fn linear_optimal_strategy(
+    links: &ParallelLinks,
+    alpha: f64,
+) -> Result<LinearOptimalResult, EqualizeError> {
     assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
     let (_a, bs) = common_slope(links);
     let m = links.m();
     let r = links.rate();
     let budget = alpha * r;
 
-    let ot = optop(links);
-    let nash = links.nash();
+    let ot = try_optop(links)?;
+    let nash = links.try_nash()?;
     let nash_flows = nash.flows().to_vec();
     let nash_cost = ot.nash_cost;
 
@@ -110,15 +113,15 @@ pub fn linear_optimal_strategy(links: &ParallelLinks, alpha: f64) -> LinearOptim
     // OpTop strategy with mimicking flow so the Leader routes exactly αr.
     if budget >= ot.beta * r - TOL * r.max(1.0) {
         let strategy = pad_with_mimicking(&ot.strategy, &ot.optimum, budget);
-        let cost = links.induced_cost(&strategy);
-        return LinearOptimalResult {
+        let cost = links.try_induced_cost(&strategy)?;
+        return Ok(LinearOptimalResult {
             cost,
             strategy,
             kind: SolutionKind::EnforcedOptimum,
             beta: ot.beta,
             optimum_cost: ot.optimum_cost,
             nash_cost,
-        };
+        });
     }
 
     // Hard side: scan partitions of the b-sorted links.
@@ -227,14 +230,14 @@ pub fn linear_optimal_strategy(links: &ParallelLinks, alpha: f64) -> LinearOptim
         }
     }
 
-    LinearOptimalResult {
+    Ok(LinearOptimalResult {
         cost: best_cost,
         strategy: best_strategy,
         kind: best_kind,
         beta: ot.beta,
         optimum_cost: ot.optimum_cost,
         nash_cost,
-    }
+    })
 }
 
 /// Extend the OpTop strategy to route exactly `budget` by adding flow that
@@ -277,7 +280,7 @@ mod tests {
     #[test]
     fn beta_and_easy_side() {
         let links = two_links();
-        let r = linear_optimal_strategy(&links, 0.5);
+        let r = linear_optimal_strategy(&links, 0.5).unwrap();
         // β = o2 = 1/4 (only link 2 under-loaded).
         assert!((r.beta - 0.25).abs() < 1e-9, "β = {}", r.beta);
         assert_eq!(r.kind, SolutionKind::EnforcedOptimum);
@@ -291,13 +294,13 @@ mod tests {
     fn hard_side_beats_or_matches_aloof() {
         let links = two_links();
         for &alpha in &[0.05, 0.1, 0.2] {
-            let r = linear_optimal_strategy(&links, alpha);
+            let r = linear_optimal_strategy(&links, alpha).unwrap();
             assert!(r.cost <= r.nash_cost + 1e-9, "α={alpha}");
             assert!(r.cost >= r.optimum_cost - 1e-9, "α={alpha}");
             let total: f64 = r.strategy.iter().sum();
             assert!((total - alpha).abs() < 1e-7, "α={alpha}: Σs = {total}");
             // Consistency: evaluating the strategy reproduces the cost.
-            let eval = links.induced_cost(&r.strategy);
+            let eval = links.try_induced_cost(&r.strategy).unwrap();
             assert!(
                 (eval - r.cost).abs() < 1e-6,
                 "α={alpha}: predicted {} vs induced {eval}",
@@ -319,7 +322,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for k in 0..=10 {
             let alpha = k as f64 / 10.0;
-            let r = linear_optimal_strategy(&links, alpha);
+            let r = linear_optimal_strategy(&links, alpha).unwrap();
             assert!(r.cost <= prev + 1e-7, "α={alpha}: {} > {prev}", r.cost);
             prev = r.cost;
         }
@@ -328,16 +331,16 @@ mod tests {
     #[test]
     fn alpha_beta_exactly_enforces_optimum() {
         let links = two_links();
-        let beta = optop(&links).beta;
-        let r = linear_optimal_strategy(&links, beta);
+        let beta = try_optop(&links).unwrap().beta;
+        let r = linear_optimal_strategy(&links, beta).unwrap();
         assert!((r.cost - r.optimum_cost).abs() < 1e-7);
     }
 
     #[test]
     fn just_below_beta_strictly_misses_optimum() {
         let links = two_links();
-        let beta = optop(&links).beta;
-        let r = linear_optimal_strategy(&links, beta * 0.8);
+        let beta = try_optop(&links).unwrap().beta;
+        let r = linear_optimal_strategy(&links, beta * 0.8).unwrap();
         assert!(
             r.cost > r.optimum_cost + 1e-9,
             "cost {} vs C(O) {}",
@@ -353,7 +356,7 @@ mod tests {
             vec![LatencyFn::affine(1.0, 0.0), LatencyFn::affine(2.0, 0.0)],
             1.0,
         );
-        let _ = linear_optimal_strategy(&links, 0.5);
+        let _ = linear_optimal_strategy(&links, 0.5).unwrap();
     }
 
     #[test]
@@ -363,6 +366,6 @@ mod tests {
             vec![LatencyFn::monomial(1.0, 2), LatencyFn::affine(1.0, 0.0)],
             1.0,
         );
-        let _ = linear_optimal_strategy(&links, 0.5);
+        let _ = linear_optimal_strategy(&links, 0.5).unwrap();
     }
 }

@@ -10,11 +10,12 @@
 
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::Latency;
+use sopt_solver::equalize::EqualizeError;
 
 /// The LLF strategy for a Leader controlling `alpha·r` flow.
-pub fn llf_strategy(links: &ParallelLinks, alpha: f64) -> Vec<f64> {
-    let optimum = links.optimum().flows().to_vec();
-    llf_strategy_for_optimum(links, &optimum, alpha)
+pub fn llf_strategy(links: &ParallelLinks, alpha: f64) -> Result<Vec<f64>, EqualizeError> {
+    let optimum = links.try_optimum()?;
+    Ok(llf_strategy_for_optimum(links, optimum.flows(), alpha))
 }
 
 /// [`llf_strategy`] with the optimum assignment supplied by the caller —
@@ -46,10 +47,10 @@ pub fn llf_strategy_for_optimum(links: &ParallelLinks, optimum: &[f64], alpha: f
 }
 
 /// Evaluate LLF: returns `(strategy, induced cost)`.
-pub fn llf(links: &ParallelLinks, alpha: f64) -> (Vec<f64>, f64) {
-    let s = llf_strategy(links, alpha);
-    let c = links.induced_cost(&s);
-    (s, c)
+pub fn llf(links: &ParallelLinks, alpha: f64) -> Result<(Vec<f64>, f64), EqualizeError> {
+    let s = llf_strategy(links, alpha)?;
+    let c = links.try_induced_cost(&s)?;
+    Ok((s, c))
 }
 
 #[cfg(test)]
@@ -64,17 +65,17 @@ mod tests {
     #[test]
     fn llf_on_pigou_saturates_slow_link_first() {
         // O = (1/2, 1/2); optimal latencies (1/2, 1): slow link first.
-        let s = llf_strategy(&pigou(), 0.5);
+        let s = llf_strategy(&pigou(), 0.5).unwrap();
         assert!((s[1] - 0.5).abs() < 1e-9, "{s:?}");
         assert!(s[0].abs() < 1e-12);
         // With α = β = 1/2, LLF happens to be optimal here.
-        let (_, cost) = llf(&pigou(), 0.5);
+        let (_, cost) = llf(&pigou(), 0.5).unwrap();
         assert!((cost - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn llf_partial_fill() {
-        let s = llf_strategy(&pigou(), 0.25);
+        let s = llf_strategy(&pigou(), 0.25).unwrap();
         assert!((s[1] - 0.25).abs() < 1e-9, "{s:?}");
         assert!(s[0].abs() < 1e-12);
     }
@@ -82,7 +83,7 @@ mod tests {
     #[test]
     fn llf_zero_alpha_is_aloof() {
         let links = pigou();
-        let (s, cost) = llf(&links, 0.0);
+        let (s, cost) = llf(&links, 0.0).unwrap();
         assert!(s.iter().all(|x| *x == 0.0));
         assert!((cost - 1.0).abs() < 1e-9); // C(N)
     }
@@ -90,7 +91,7 @@ mod tests {
     #[test]
     fn llf_full_control_is_optimum() {
         let links = pigou();
-        let (s, cost) = llf(&links, 1.0);
+        let (s, cost) = llf(&links, 1.0).unwrap();
         let total: f64 = s.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!((cost - 0.75).abs() < 1e-9);
@@ -108,9 +109,9 @@ mod tests {
             ],
             2.0,
         );
-        let copt = links.cost(links.optimum().flows());
+        let copt = links.cost(links.try_optimum().unwrap().flows());
         for &alpha in &[0.1, 0.25, 0.5, 0.75, 0.9] {
-            let (_, cost) = llf(&links, alpha);
+            let (_, cost) = llf(&links, alpha).unwrap();
             assert!(
                 cost <= copt / alpha + 1e-7,
                 "α={alpha}: C(S+T)={cost} > C(O)/α={}",
@@ -130,9 +131,9 @@ mod tests {
             ],
             1.0,
         );
-        let copt = links.cost(links.optimum().flows());
+        let copt = links.cost(links.try_optimum().unwrap().flows());
         for &alpha in &[0.1, 0.3, 0.5, 0.7, 0.9] {
-            let (_, cost) = llf(&links, alpha);
+            let (_, cost) = llf(&links, alpha).unwrap();
             assert!(
                 cost <= copt * 4.0 / (3.0 + alpha) + 1e-7,
                 "α={alpha}: ratio {}",

@@ -3,8 +3,8 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::mop_multi::mop_multi;
-    use sopt_equilibrium::network::induced_multicommodity;
+    use crate::mop_multi::try_mop_multi;
+    use sopt_equilibrium::network::try_induced_multicommodity;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
     use sopt_network::instance::{Network, NetworkInstance};
@@ -39,7 +39,7 @@ mod tests {
     #[test]
     fn fig7_optimal_flows_match_paper() {
         let eps = 0.05;
-        let r = mop_multi(&fig7(eps), &FwOptions::default());
+        let r = try_mop_multi(&fig7(eps), &FwOptions::default()).unwrap();
         let o = r.optimum_total.as_slice();
         let expect = [
             0.75 - eps,
@@ -56,7 +56,7 @@ mod tests {
     #[test]
     fn fig7_beta_is_half_plus_two_eps() {
         for &eps in &[0.0, 0.01, 0.05, 0.1] {
-            let r = mop_multi(&fig7(eps), &FwOptions::default());
+            let r = try_mop_multi(&fig7(eps), &FwOptions::default()).unwrap();
             let want = 0.5 + 2.0 * eps;
             assert!(
                 (r.beta - want).abs() < 1e-4,
@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn fig7_middle_path_is_shortest() {
-        let r = mop_multi(&fig7(0.05), &FwOptions::default());
+        let r = try_mop_multi(&fig7(0.05), &FwOptions::default()).unwrap();
         // Shortest subnetwork must contain s→v, v→w, w→t; not s→w or v→t.
         let ids: Vec<u32> = r.commodities[0]
             .shortest_edges
@@ -87,10 +87,16 @@ mod tests {
     #[test]
     fn fig7_strategy_induces_optimum() {
         let inst = fig7(0.05);
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         let values = [r.commodities[0].leader_value];
-        let follower =
-            induced_multicommodity(&inst, &r.leader_total, &values, &FwOptions::default());
+        let follower = try_induced_multicommodity(
+            &inst,
+            &r.leader_total,
+            &values,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -119,7 +125,7 @@ mod tests {
             NodeId(1),
             1.0,
         );
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         assert!((r.beta - 0.5).abs() < 1e-5, "β = {}", r.beta);
         // Leader controls the slow edge at its optimal load.
         assert!((r.leader_total.0[1] - 0.5).abs() < 1e-5);
@@ -139,7 +145,7 @@ mod tests {
             NodeId(2),
             1.0,
         );
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         assert!(r.beta.abs() < 1e-6, "β = {}", r.beta);
         assert!(r.leader_total.as_slice().iter().all(|x| x.abs() < 1e-6));
     }
@@ -149,12 +155,14 @@ mod tests {
     /// edge costs. A greedy decomposition can waste shortest-path capacity,
     /// so its β bounds MOP's exact (max-flow) β from above.
     fn greedy_beta(inst: &NetworkInstance, opts: &FwOptions) -> f64 {
-        use sopt_equilibrium::network::multicommodity_optimum;
+        use sopt_equilibrium::network::try_multicommodity_optimum;
+        use sopt_network::csr::{Csr, SpWorkspace};
         use sopt_network::flow::decompose;
-        use sopt_network::spath::dijkstra;
-        let optimum = multicommodity_optimum(inst, opts).flow;
+        let optimum = try_multicommodity_optimum(inst, opts, None).unwrap().flow;
         let costs = inst.edge_costs(optimum.as_slice());
-        let dist = dijkstra(&inst.graph, &costs, inst.source).dist[inst.sink.idx()];
+        let mut ws = SpWorkspace::new();
+        ws.dijkstra(&Csr::new(&inst.graph), &costs, inst.source);
+        let dist = ws.dist()[inst.sink.idx()];
         let tol = 1e-6 * dist.abs().max(1.0);
         let free: f64 = decompose(&inst.graph, &optimum, inst.source, inst.sink)
             .paths
@@ -169,7 +177,7 @@ mod tests {
     fn exact_beta_never_exceeds_greedy() {
         for &eps in &[0.0, 0.05] {
             let inst = fig7(eps);
-            let exact = mop_multi(&inst, &FwOptions::default());
+            let exact = try_mop_multi(&inst, &FwOptions::default()).unwrap();
             let greedy = greedy_beta(&inst, &FwOptions::default());
             assert!(exact.beta <= greedy + 1e-9);
         }
@@ -183,7 +191,7 @@ mod tests {
         let opts = FwOptions::default();
         let opt = try_multicommodity_optimum(&inst, &opts, None).unwrap();
         let via_supplied = try_mop_multi_with_optimum(&inst, &opt).unwrap();
-        let direct = mop_multi(&inst, &opts);
+        let direct = try_mop_multi(&inst, &opts).unwrap();
         assert_eq!(via_supplied.beta, direct.beta);
         assert_eq!(
             via_supplied.optimum_total.as_slice(),
@@ -196,7 +204,7 @@ mod tests {
         use sopt_equilibrium::network::{try_induced_multicommodity, warm_seed_from_per};
         let inst = fig7(0.05);
         let opts = FwOptions::default();
-        let r = mop_multi(&inst, &opts);
+        let r = try_mop_multi(&inst, &opts).unwrap();
         let values = [r.commodities[0].leader_value];
         // The free flow IS the follower equilibrium under the MOP strategy;
         // seeding with it should converge on the first gap check.
@@ -209,7 +217,8 @@ mod tests {
             "warm induced took {} iterations",
             warm.iterations
         );
-        let cold = induced_multicommodity(&inst, &r.leader_total, &values, &opts);
+        let cold =
+            try_induced_multicommodity(&inst, &r.leader_total, &values, &opts, None).unwrap();
         assert!(cold.iterations >= warm.iterations);
         for e in 0..inst.num_edges() {
             assert!((warm.flow.0[e] - cold.flow.0[e]).abs() < 1e-5);
@@ -219,7 +228,7 @@ mod tests {
     #[test]
     fn leader_flow_is_feasible() {
         let inst = fig7(0.02);
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         let c = &r.commodities[0];
         assert!(c
             .leader

@@ -25,11 +25,12 @@
 
 use crate::error::CoreError;
 use sopt_equilibrium::network::try_multicommodity_optimum;
+use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::EdgeId;
 use sopt_network::instance::Network;
 use sopt_network::maxflow::max_flow;
-use sopt_network::spath::{dijkstra, shortest_dag_edges};
+use sopt_network::spath::shortest_dag_edges;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
 /// Per-commodity share of the [`MopMultiResult`].
@@ -52,7 +53,7 @@ pub struct MopCommodity {
     pub alpha: f64,
 }
 
-/// Output of [`mop_multi`].
+/// Output of [`try_mop_multi`].
 #[derive(Clone, Debug)]
 pub struct MopMultiResult {
     /// Overall price of optimum `β = Σ (r_i − r'_i) / Σ r_i`.
@@ -70,13 +71,6 @@ pub struct MopMultiResult {
 }
 
 const DAG_TOL: f64 = 1e-6;
-
-/// Run the k-commodity MOP of Theorem 2.1. Panics where [`try_mop_multi`]
-/// errors.
-pub fn mop_multi(inst: &impl Network, opts: &FwOptions) -> MopMultiResult {
-    try_mop_multi(inst, opts)
-        .expect("MOP needs a convergent optimum solve and reachable sinks for every commodity")
-}
 
 /// Run the k-commodity MOP of Theorem 2.1, reporting solver
 /// non-convergence and unreachable sinks as typed errors.
@@ -107,17 +101,19 @@ pub fn try_mop_multi_with_optimum(
     let m = graph.num_edges();
     let mut commodities = Vec::with_capacity(demands.len());
     let mut leader_total = EdgeFlow::zeros(m);
+    let csr = Csr::new(graph);
+    let mut ws = SpWorkspace::new();
 
     for (ci, com) in demands.enumerate() {
         // (4) this commodity's shortest-path subnetwork under those costs.
         let o_i = &opt.per_commodity[ci];
-        let sp = dijkstra(graph, &edge_costs, com.source);
-        let dist = sp.dist[com.sink.idx()];
+        ws.dijkstra(&csr, &edge_costs, com.source);
+        let dist = ws.dist()[com.sink.idx()];
         if !dist.is_finite() {
             return Err(CoreError::Unreachable { commodity: ci });
         }
         let tol = DAG_TOL * dist.abs().max(1.0);
-        let shortest_edges = shortest_dag_edges(graph, &edge_costs, &sp, tol);
+        let shortest_edges = shortest_dag_edges(graph, &edge_costs, ws.dist(), tol);
 
         // (5)–(6) the free flow r'_i: max flow through G̃_i with
         // capacities o^i_e; the Leader controls the rest of O^i.
@@ -172,7 +168,7 @@ impl MopMultiResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_equilibrium::network::induced_multicommodity;
+    use sopt_equilibrium::network::try_induced_multicommodity;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
     use sopt_network::instance::{Commodity, MultiCommodityInstance, NetworkInstance};
@@ -212,7 +208,7 @@ mod tests {
     #[test]
     fn disjoint_pigous_give_half_each() {
         let inst = two_disjoint_pigous();
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         assert!((r.beta - 0.5).abs() < 1e-5, "β = {}", r.beta);
         for c in &r.commodities {
             assert!((c.alpha - 0.5).abs() < 1e-5, "α_i = {}", c.alpha);
@@ -222,10 +218,16 @@ mod tests {
     #[test]
     fn strategy_induces_multicommodity_optimum() {
         let inst = two_disjoint_pigous();
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         let values: Vec<f64> = r.commodities.iter().map(|c| c.leader_value).collect();
-        let follower =
-            induced_multicommodity(&inst, &r.leader_total, &values, &FwOptions::default());
+        let follower = try_induced_multicommodity(
+            &inst,
+            &r.leader_total,
+            &values,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -274,12 +276,18 @@ mod tests {
                 },
             ],
         );
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         assert!(r.beta >= 0.0 && r.beta <= 1.0);
         // Induced play must reproduce the optimum.
         let values: Vec<f64> = r.commodities.iter().map(|c| c.leader_value).collect();
-        let follower =
-            induced_multicommodity(&inst, &r.leader_total, &values, &FwOptions::default());
+        let follower = try_induced_multicommodity(
+            &inst,
+            &r.leader_total,
+            &values,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -293,7 +301,7 @@ mod tests {
     #[test]
     fn weak_beta_dominates_strong_beta() {
         let inst = two_disjoint_pigous();
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = try_mop_multi(&inst, &FwOptions::default()).unwrap();
         assert!(r.weak_beta() >= r.beta - 1e-12);
         // Equal-rate symmetric commodities: weak = strong here.
         assert!((r.weak_beta() - 0.5).abs() < 1e-5);
@@ -319,11 +327,12 @@ mod tests {
                 rate: 1.0,
             }],
         );
-        let multi = mop_multi(&mc, &FwOptions::default());
-        let single = mop_multi(
+        let multi = try_mop_multi(&mc, &FwOptions::default()).unwrap();
+        let single = try_mop_multi(
             &NetworkInstance::new(g, latencies, NodeId(0), NodeId(1), 1.0),
             &FwOptions::default(),
-        );
+        )
+        .unwrap();
         // An s–t instance is the same one-commodity network, bit for bit.
         assert_eq!(multi.beta, single.beta);
     }

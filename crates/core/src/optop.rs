@@ -39,7 +39,7 @@ pub struct OpTopRound {
     pub nash_level: f64,
 }
 
-/// Output of [`optop`].
+/// Output of [`try_optop`].
 #[derive(Clone, Debug)]
 pub struct OpTopResult {
     /// The price of optimum `β_M = (r₀ − r)/r₀`: the minimum portion of the
@@ -63,15 +63,8 @@ pub struct OpTopResult {
 /// Flow-comparison tolerance for under-loadedness, relative to the rate.
 const LOAD_TOL: f64 = 1e-9;
 
-/// Run OpTop on `(M, r)`. Panics on infeasible (over-capacity) instances;
-/// prefer [`try_optop`] (or the `stackopt::api` session layer) when
-/// feasibility is in question.
-pub fn optop(links: &ParallelLinks) -> OpTopResult {
-    try_optop(links).expect("OpTop needs a feasible instance (rate within capacity)")
-}
-
-/// Run OpTop on `(M, r)`, reporting infeasibility as a typed error instead
-/// of panicking.
+/// Run OpTop on `(M, r)`, reporting infeasibility (rate over capacity) as
+/// a typed error.
 pub fn try_optop(links: &ParallelLinks) -> Result<OpTopResult, EqualizeError> {
     let m = links.m();
     let r0 = links.rate();
@@ -168,7 +161,7 @@ mod tests {
     #[test]
     fn pigou_beta_is_half() {
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         assert!((r.beta - 0.5).abs() < 1e-9, "β = {}", r.beta);
         assert_eq!(r.strategy.len(), 2);
         assert!(r.strategy[0].abs() < 1e-12, "fast link uncontrolled");
@@ -177,7 +170,7 @@ mod tests {
             "slow link frozen at o₂ = 1/2"
         );
         // The strategy enforces the optimum.
-        let cost = links.induced_cost(&r.strategy);
+        let cost = links.try_induced_cost(&r.strategy).unwrap();
         assert!((cost - r.optimum_cost).abs() < 1e-9);
         assert!((r.optimum_cost - 0.75).abs() < 1e-9);
         assert!((r.nash_cost - 1.0).abs() < 1e-9);
@@ -187,7 +180,7 @@ mod tests {
     fn fig4_trace_matches_paper() {
         // Paper Figs. 4–6: one freezing round on {M4, M5}, then termination.
         let links = fig4_links();
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         assert_eq!(r.rounds.len(), 2, "one freeze round + terminal round");
         assert_eq!(
             r.rounds[0].frozen,
@@ -216,8 +209,8 @@ mod tests {
     #[test]
     fn strategy_induces_optimum_certified() {
         let links = fig4_links();
-        let r = optop(&links);
-        let ind = links.induced(&r.strategy);
+        let r = try_optop(&links).unwrap();
+        let ind = links.try_induced(&r.strategy).unwrap();
         for (i, (&tot, &o)) in ind.total.iter().zip(&r.optimum).enumerate() {
             assert!(
                 (tot - o).abs() < 1e-7,
@@ -240,7 +233,7 @@ mod tests {
         // Fully symmetric system: Nash = optimum, β = 0 (paper §2's remark
         // that large groups of identical links make β small).
         let links = ParallelLinks::new(vec![LatencyFn::identity(); 4], 2.0);
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         assert!(r.beta.abs() < 1e-9);
         assert!((r.nash_cost - r.optimum_cost).abs() < 1e-9);
         assert_eq!(r.rounds.len(), 1);
@@ -257,9 +250,9 @@ mod tests {
             ],
             2.0,
         );
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         assert!(r.beta >= 0.0 && r.beta < 1.0);
-        let cost = links.induced_cost(&r.strategy);
+        let cost = links.try_induced_cost(&r.strategy).unwrap();
         assert!(
             (cost - r.optimum_cost).abs() < 1e-6,
             "induced {cost} vs C(O) {}",
@@ -279,9 +272,9 @@ mod tests {
             ],
             1.0,
         );
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         // Whatever the round structure, the result must enforce C(O).
-        let cost = links.induced_cost(&r.strategy);
+        let cost = links.try_induced_cost(&r.strategy).unwrap();
         assert!((cost - r.optimum_cost).abs() < 1e-8);
         // β strictly between 0 and 1 here.
         assert!(r.beta > 0.0 && r.beta < 1.0, "β = {}", r.beta);
@@ -298,9 +291,9 @@ mod tests {
     fn alpha_below_beta_cannot_reach_optimum() {
         // Sanity on minimality: scaling the OpTop strategy down misses C(O).
         let links = fig4_links();
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         let short: Vec<f64> = r.strategy.iter().map(|s| s * 0.9).collect();
-        let cost = links.induced_cost(&short);
+        let cost = links.try_induced_cost(&short).unwrap();
         assert!(
             cost > r.optimum_cost + 1e-6,
             "cost {cost} vs C(O) {}",

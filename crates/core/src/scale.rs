@@ -2,33 +2,45 @@
 //! (Karakostas–Kolliopoulos \[18\]; also studied by Correa–Stier-Moses \[5\]).
 //! Simple, topology-agnostic, and the natural baseline for MOP on networks.
 
+use sopt_equilibrium::network::{try_induced_multicommodity, try_multicommodity_optimum};
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_network::flow::EdgeFlow;
 use sopt_network::instance::Network;
+use sopt_solver::equalize::EqualizeError;
+use sopt_solver::error::SolverError;
 use sopt_solver::frank_wolfe::FwOptions;
 
 /// SCALE on parallel links: `s_i = α·o_i`.
-pub fn scale_strategy(links: &ParallelLinks, alpha: f64) -> Vec<f64> {
+pub fn scale_strategy(links: &ParallelLinks, alpha: f64) -> Result<Vec<f64>, EqualizeError> {
     assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
-    links.optimum().flows().iter().map(|o| alpha * o).collect()
+    Ok(links
+        .try_optimum()?
+        .flows()
+        .iter()
+        .map(|o| alpha * o)
+        .collect())
 }
 
 /// Evaluate SCALE on parallel links: `(strategy, induced cost)`.
-pub fn scale(links: &ParallelLinks, alpha: f64) -> (Vec<f64>, f64) {
-    let s = scale_strategy(links, alpha);
-    let c = links.induced_cost(&s);
-    (s, c)
+pub fn scale(links: &ParallelLinks, alpha: f64) -> Result<(Vec<f64>, f64), EqualizeError> {
+    let s = scale_strategy(links, alpha)?;
+    let c = links.try_induced_cost(&s)?;
+    Ok((s, c))
 }
 
 /// SCALE on a network: the Leader ships `α·O` (edge-wise, so `α·r_i` of
 /// every commodity), the followers route the rest against the
 /// a-posteriori latencies. Returns `(leader flow, induced total cost)`.
-pub fn scale_network(inst: &impl Network, alpha: f64, opts: &FwOptions) -> (EdgeFlow, f64) {
+pub fn scale_network(
+    inst: &impl Network,
+    alpha: f64,
+    opts: &FwOptions,
+) -> Result<(EdgeFlow, f64), SolverError> {
     assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
-    let opt = sopt_equilibrium::network::multicommodity_optimum(inst, opts);
+    let opt = try_multicommodity_optimum(inst, opts, None)?;
     let leader = EdgeFlow(opt.flow.as_slice().iter().map(|o| alpha * o).collect());
     let values: Vec<f64> = inst.demands().map(|c| alpha * c.rate).collect();
-    let follower = sopt_equilibrium::network::induced_multicommodity(inst, &leader, &values, opts);
+    let follower = try_induced_multicommodity(inst, &leader, &values, opts, None)?;
     let total: Vec<f64> = leader
         .as_slice()
         .iter()
@@ -36,7 +48,7 @@ pub fn scale_network(inst: &impl Network, alpha: f64, opts: &FwOptions) -> (Edge
         .map(|(a, b)| a + b)
         .collect();
     let cost = inst.cost(&total);
-    (leader, cost)
+    Ok((leader, cost))
 }
 
 #[cfg(test)]
@@ -47,7 +59,7 @@ mod tests {
     #[test]
     fn scale_strategy_is_alpha_times_optimum() {
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let s = scale_strategy(&links, 0.4);
+        let s = scale_strategy(&links, 0.4).unwrap();
         assert!((s[0] - 0.2).abs() < 1e-9);
         assert!((s[1] - 0.2).abs() < 1e-9);
     }
@@ -58,16 +70,16 @@ mod tests {
             vec![LatencyFn::affine(1.0, 0.0), LatencyFn::affine(0.5, 0.5)],
             1.0,
         );
-        let (_, c0) = scale(&links, 0.0);
-        let (_, c1) = scale(&links, 1.0);
-        let cn = links.cost(links.nash().flows());
-        let co = links.cost(links.optimum().flows());
+        let (_, c0) = scale(&links, 0.0).unwrap();
+        let (_, c1) = scale(&links, 1.0).unwrap();
+        let cn = links.cost(links.try_nash().unwrap().flows());
+        let co = links.cost(links.try_optimum().unwrap().flows());
         assert!((c0 - cn).abs() < 1e-7);
         assert!((c1 - co).abs() < 1e-9);
         // Monotone improvement in between (sampled).
         let mut prev = c0 + 1e-12;
         for &a in &[0.25, 0.5, 0.75] {
-            let (_, c) = scale(&links, a);
+            let (_, c) = scale(&links, a).unwrap();
             assert!(c <= prev + 1e-9, "α={a}: {c} > {prev}");
             prev = c;
         }
@@ -78,7 +90,7 @@ mod tests {
         // SCALE puts α/2 on the fast link where it is useless: with α = 1/2
         // the induced cost stays above the optimum that OpTop achieves.
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let (_, c) = scale(&links, 0.5);
+        let (_, c) = scale(&links, 0.5).unwrap();
         assert!(c > 0.75 + 1e-6, "SCALE should be suboptimal at α = β: {c}");
     }
 }

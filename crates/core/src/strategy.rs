@@ -1,6 +1,7 @@
 //! Stackelberg strategy evaluation on parallel links.
 
 use sopt_equilibrium::parallel::{Induced, ParallelLinks};
+use sopt_solver::equalize::EqualizeError;
 
 /// A Leader assignment `S = ⟨s_1, …, s_m⟩` on parallel links together with
 /// its evaluation.
@@ -44,19 +45,14 @@ pub struct StackelbergOutcome {
 }
 
 /// Evaluate a strategy: compute the induced Nash `T` and `C(S+T)`.
-pub fn evaluate(links: &ParallelLinks, flows: &[f64]) -> StackelbergOutcome {
-    let induced = links.induced(flows);
+pub fn evaluate(links: &ParallelLinks, flows: &[f64]) -> Result<StackelbergOutcome, EqualizeError> {
+    let induced = links.try_induced(flows)?;
     let cost = links.cost(&induced.total);
-    StackelbergOutcome {
+    Ok(StackelbergOutcome {
         strategy: ParallelStrategy::new(flows.to_vec(), links.rate()),
         induced,
         cost,
-    }
-}
-
-/// Convenience: the induced cost `C(S + T)` of a strategy.
-pub fn induced_cost(links: &ParallelLinks, flows: &[f64]) -> f64 {
-    links.induced_cost(flows)
+    })
 }
 
 #[cfg(test)]
@@ -67,11 +63,11 @@ mod tests {
     #[test]
     fn evaluate_pigou_strategies() {
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let aloof = evaluate(&links, &[0.0, 0.0]);
+        let aloof = evaluate(&links, &[0.0, 0.0]).unwrap();
         assert!((aloof.cost - 1.0).abs() < 1e-9);
         assert_eq!(aloof.strategy.alpha, 0.0);
 
-        let wise = evaluate(&links, &[0.0, 0.5]);
+        let wise = evaluate(&links, &[0.0, 0.5]).unwrap();
         assert!((wise.cost - 0.75).abs() < 1e-9);
         assert!((wise.strategy.alpha - 0.5).abs() < 1e-12);
         assert!((wise.induced.total[0] - 0.5).abs() < 1e-9);

@@ -6,55 +6,64 @@
 
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
+use sopt_solver::equalize::EqualizeError;
 
 /// Proposition 7.1 (monotonicity): if `r' ≤ r` then `n'_i ≤ n_i` for every
 /// link. Returns the largest `n'_i − n_i` (≤ 0 up to solver tolerance when
 /// the proposition holds).
-pub fn monotonicity_violation(latencies: &[LatencyFn], r_small: f64, r_large: f64) -> f64 {
+pub fn monotonicity_violation(
+    latencies: &[LatencyFn],
+    r_small: f64,
+    r_large: f64,
+) -> Result<f64, EqualizeError> {
     assert!(r_small <= r_large, "call with r_small ≤ r_large");
-    let small = ParallelLinks::new(latencies.to_vec(), r_small.max(1e-300)).nash();
-    let large = ParallelLinks::new(latencies.to_vec(), r_large).nash();
-    small
+    let small = ParallelLinks::new(latencies.to_vec(), r_small.max(1e-300)).try_nash()?;
+    let large = ParallelLinks::new(latencies.to_vec(), r_large).try_nash()?;
+    Ok(small
         .flows()
         .iter()
         .zip(large.flows())
         .map(|(np, n)| np - n)
-        .fold(f64::NEG_INFINITY, f64::max)
+        .fold(f64::NEG_INFINITY, f64::max))
 }
 
 /// Theorem 7.2 (useless strategies): if `s_j ≤ n_j` for every link then the
 /// induced play coincides with the original Nash: `S + T ≡ N`. Returns the
 /// largest `|s_j + t_j − n_j|`. Panics if the premise `s ≤ n` is violated.
-pub fn useless_strategy_deviation(links: &ParallelLinks, strategy: &[f64]) -> f64 {
-    let nash = links.nash();
+pub fn useless_strategy_deviation(
+    links: &ParallelLinks,
+    strategy: &[f64],
+) -> Result<f64, EqualizeError> {
+    let nash = links.try_nash()?;
     for (j, (&s, &n)) in strategy.iter().zip(nash.flows()).enumerate() {
         assert!(
             s <= n + 1e-9 * links.rate().max(1.0),
             "Theorem 7.2 premise violated on link {j}: s = {s} > n = {n}"
         );
     }
-    let ind = links.induced(strategy);
-    ind.total
+    let ind = links.try_induced(strategy)?;
+    Ok(ind
+        .total
         .iter()
         .zip(nash.flows())
         .map(|(t, n)| (t - n).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, f64::max))
 }
 
 /// Theorems 7.4 / Lemma 7.5 (frozen links): every link with `s_j ≥ n_j`
 /// receives no induced selfish flow. Returns the largest induced flow `t_j`
 /// over frozen links (0 up to tolerance when the theorems hold).
-pub fn frozen_induced_flow(links: &ParallelLinks, strategy: &[f64]) -> f64 {
-    let nash = links.nash();
-    let ind = links.induced(strategy);
+pub fn frozen_induced_flow(links: &ParallelLinks, strategy: &[f64]) -> Result<f64, EqualizeError> {
+    let nash = links.try_nash()?;
+    let ind = links.try_induced(strategy)?;
     let tol = 1e-9 * links.rate().max(1.0);
-    strategy
+    Ok(strategy
         .iter()
         .zip(nash.flows())
         .zip(&ind.follower)
         .filter(|((s, n), _)| **s >= **n - tol)
         .map(|(_, t)| *t)
-        .fold(0.0, f64::max)
+        .fold(0.0, f64::max))
 }
 
 /// Outcome of the Lemma 6.1 swap (Figs. 8–10).
@@ -117,7 +126,7 @@ mod tests {
     fn monotonicity_on_fig4_family() {
         let lats = sample_links();
         for &(rs, rl) in &[(0.1, 0.5), (0.5, 1.0), (1.0, 3.0), (0.0, 0.2)] {
-            let v = monotonicity_violation(&lats, rs, rl);
+            let v = monotonicity_violation(&lats, rs, rl).unwrap();
             assert!(v <= 1e-7, "r'={rs}, r={rl}: violation {v}");
         }
     }
@@ -125,12 +134,12 @@ mod tests {
     #[test]
     fn useless_strategies_change_nothing() {
         let links = ParallelLinks::new(sample_links(), 1.0);
-        let n = links.nash().flows().to_vec();
+        let n = links.try_nash().unwrap().flows().to_vec();
         // Half the Nash loads: clearly s ≤ n.
         let s: Vec<f64> = n.iter().map(|x| x * 0.5).collect();
-        assert!(useless_strategy_deviation(&links, &s) < 1e-7);
+        assert!(useless_strategy_deviation(&links, &s).unwrap() < 1e-7);
         // The zero strategy too.
-        assert!(useless_strategy_deviation(&links, &[0.0; 4]) < 1e-7);
+        assert!(useless_strategy_deviation(&links, &[0.0; 4]).unwrap() < 1e-7);
     }
 
     #[test]
@@ -139,18 +148,18 @@ mod tests {
         let links = ParallelLinks::new(sample_links(), 1.0);
         let mut s = vec![0.0; 4];
         s[3] = 0.5; // constant link has n₄ = 0 < 0.5
-        let _ = useless_strategy_deviation(&links, &s);
+        let _ = useless_strategy_deviation(&links, &s).unwrap();
     }
 
     #[test]
     fn frozen_links_receive_nothing() {
         let links = ParallelLinks::new(sample_links(), 1.0);
-        let n = links.nash().flows().to_vec();
+        let n = links.try_nash().unwrap().flows().to_vec();
         // Freeze links 2 and 3 above their Nash loads; leave 0 and 1 alone.
         let mut s = vec![0.0; 4];
         s[2] = n[2] + 0.05;
         s[3] = 0.1; // n₃ = 0: any load freezes it
-        let t_max = frozen_induced_flow(&links, &s);
+        let t_max = frozen_induced_flow(&links, &s).unwrap();
         assert!(t_max < 1e-7, "frozen links got induced flow {t_max}");
     }
 

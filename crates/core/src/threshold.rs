@@ -10,24 +10,25 @@
 
 use sopt_equilibrium::classify::underloaded_indices;
 use sopt_equilibrium::parallel::ParallelLinks;
+use sopt_solver::equalize::EqualizeError;
 
 /// The Sharma–Williamson lower bound on the improvement threshold (as a
 /// portion of `r`): `min{ n_i : n_i < o_i } / r`. When Nash is already
 /// optimal there is no under-loaded link and nothing can be improved: the
 /// bound degenerates to `1` (consistent with
 /// [`empirical_improvement_threshold`]).
-pub fn improvement_threshold_lower_bound(links: &ParallelLinks) -> f64 {
-    let nash = links.nash();
-    let opt = links.optimum();
+pub fn improvement_threshold_lower_bound(links: &ParallelLinks) -> Result<f64, EqualizeError> {
+    let nash = links.try_nash()?;
+    let opt = links.try_optimum()?;
     let tol = 1e-9 * links.rate().max(1.0);
     let under = underloaded_indices(nash.flows(), opt.flows(), tol);
-    under
+    Ok(under
         .iter()
         .map(|&i| nash.flows()[i])
         .fold(f64::INFINITY, f64::min)
         .min(links.rate())
         .max(0.0)
-        / links.rate()
+        / links.rate())
 }
 
 /// Empirical improvement threshold: the smallest `α` in a bisected `[0,1]`
@@ -38,16 +39,16 @@ pub fn empirical_improvement_threshold(
     links: &ParallelLinks,
     best_cost: impl Fn(&ParallelLinks, f64) -> f64,
     rel_tol: f64,
-) -> f64 {
-    let cn = links.cost(links.nash().flows());
+) -> Result<f64, EqualizeError> {
+    let cn = links.cost(links.try_nash()?.flows());
     let improves = |alpha: f64| best_cost(links, alpha) < cn * (1.0 - rel_tol);
     if improves(0.0) {
-        return 0.0;
+        return Ok(0.0);
     }
     if !improves(1.0) {
-        return 1.0;
+        return Ok(1.0);
     }
-    sopt_solver::roots::bisect_predicate(0.0, 1.0, improves)
+    Ok(sopt_solver::roots::bisect_predicate(0.0, 1.0, improves))
 }
 
 #[cfg(test)]
@@ -60,7 +61,7 @@ mod tests {
     fn pigou_threshold_is_zero() {
         // Under-loaded slow link has Nash load 0: any α > 0 helps.
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        assert!(improvement_threshold_lower_bound(&links) < 1e-12);
+        assert!(improvement_threshold_lower_bound(&links).unwrap() < 1e-12);
     }
 
     #[test]
@@ -71,7 +72,7 @@ mod tests {
             vec![LatencyFn::affine(1.0, 0.0), LatencyFn::affine(1.0, 0.2)],
             1.0,
         );
-        let lb = improvement_threshold_lower_bound(&links);
+        let lb = improvement_threshold_lower_bound(&links).unwrap();
         assert!(lb > 0.0, "lb = {lb}");
         // Nash: x1 − x2 = 0.2, sum 1 ⇒ n = (0.6, 0.4); O: (0.55, 0.45).
         assert!((lb - 0.4).abs() < 1e-7, "lb = {lb}");
@@ -80,7 +81,7 @@ mod tests {
     #[test]
     fn optimal_nash_degenerates_to_one() {
         let links = ParallelLinks::new(vec![LatencyFn::identity(); 3], 1.0);
-        let lb = improvement_threshold_lower_bound(&links);
+        let lb = improvement_threshold_lower_bound(&links).unwrap();
         assert_eq!(lb, 1.0);
     }
 
@@ -90,12 +91,13 @@ mod tests {
             vec![LatencyFn::affine(1.0, 0.0), LatencyFn::affine(1.0, 0.2)],
             1.0,
         );
-        let lb = improvement_threshold_lower_bound(&links);
+        let lb = improvement_threshold_lower_bound(&links).unwrap();
         let emp = empirical_improvement_threshold(
             &links,
-            |l, a| linear_optimal_strategy(l, a).cost,
+            |l, a| linear_optimal_strategy(l, a).unwrap().cost,
             1e-9,
-        );
+        )
+        .unwrap();
         assert!(
             emp >= lb - 1e-6,
             "empirical threshold {emp} below the Sharma–Williamson bound {lb}"
@@ -108,9 +110,10 @@ mod tests {
         let links = ParallelLinks::new(vec![LatencyFn::identity(); 2], 1.0);
         let emp = empirical_improvement_threshold(
             &links,
-            |l, a| linear_optimal_strategy(l, a).cost,
+            |l, a| linear_optimal_strategy(l, a).unwrap().cost,
             1e-9,
-        );
+        )
+        .unwrap();
         assert_eq!(emp, 1.0);
     }
 }

@@ -47,13 +47,7 @@ pub struct ParallelTolls {
 }
 
 /// Compute marginal-cost tolls for `(M, r)`: the tolled Nash equals the
-/// untolled optimum. Panics where [`try_marginal_cost_tolls`] errors.
-pub fn marginal_cost_tolls(links: &ParallelLinks) -> ParallelTolls {
-    try_marginal_cost_tolls(links).expect("tolls need a feasible optimum")
-}
-
-/// Compute marginal-cost tolls for `(M, r)`, reporting infeasibility as a
-/// typed error instead of panicking.
+/// untolled optimum. Infeasibility comes back as a typed error.
 pub fn try_marginal_cost_tolls(
     links: &ParallelLinks,
 ) -> Result<ParallelTolls, crate::error::CoreError> {
@@ -137,7 +131,7 @@ pub fn try_marginal_cost_tolls_multi_with_optimum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_equilibrium::network::multicommodity_nash;
+    use sopt_equilibrium::network::try_multicommodity_nash;
     use sopt_network::graph::NodeId;
     use sopt_network::instance::NetworkInstance;
     use sopt_network::DiGraph;
@@ -146,10 +140,10 @@ mod tests {
     fn pigou_toll_restores_optimum() {
         // Toll on the fast link: τ₁ = o₁·1 = 1/2; the constant link gets 0.
         let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let t = marginal_cost_tolls(&links);
+        let t = try_marginal_cost_tolls(&links).unwrap();
         assert!((t.tolls[0] - 0.5).abs() < 1e-9);
         assert!(t.tolls[1].abs() < 1e-12);
-        let tolled_nash = t.tolled.nash();
+        let tolled_nash = t.tolled.try_nash().unwrap();
         for (got, want) in tolled_nash.flows().iter().zip(&t.optimum) {
             assert!(
                 (got - want).abs() < 1e-7,
@@ -165,8 +159,8 @@ mod tests {
     fn random_instances_tolled_nash_is_optimum() {
         for seed in 0..10u64 {
             let links = sopt_instances_free::random_mixed_links(5, 1.5, seed);
-            let t = marginal_cost_tolls(&links);
-            let tolled_nash = t.tolled.nash();
+            let t = try_marginal_cost_tolls(&links).unwrap();
+            let tolled_nash = t.tolled.try_nash().unwrap();
             for (i, (got, want)) in tolled_nash.flows().iter().zip(&t.optimum).enumerate() {
                 assert!(
                     (got - want).abs() < 1e-5,
@@ -228,7 +222,7 @@ mod tests {
         assert!((t.tolls[4] - 0.5).abs() < 1e-5);
         assert!(t.tolls[1].abs() < 1e-9 && t.tolls[2].abs() < 1e-9);
         // The tolled Nash avoids the middle edge, restoring C(O) = 3/2.
-        let nash = multicommodity_nash(&t.tolled, &opts);
+        let nash = try_multicommodity_nash(&t.tolled, &opts, None).unwrap();
         assert!(nash.flow.0[2].abs() < 1e-5, "{:?}", nash.flow);
         assert!((inst.cost(nash.flow.as_slice()) - 1.5).abs() < 1e-5);
     }
@@ -297,8 +291,8 @@ mod tests {
     fn zero_tolls_when_nash_is_optimal() {
         // Identical links: optimum = Nash; tolls exist but leave flows put.
         let links = ParallelLinks::new(vec![LatencyFn::identity(); 3], 1.5);
-        let t = marginal_cost_tolls(&links);
-        let tolled_nash = t.tolled.nash();
+        let t = try_marginal_cost_tolls(&links).unwrap();
+        let tolled_nash = t.tolled.try_nash().unwrap();
         for (got, want) in tolled_nash.flows().iter().zip(&t.optimum) {
             assert!((got - want).abs() < 1e-9);
         }

@@ -12,9 +12,9 @@
 //! cannot silently corrupt a result.
 
 use sopt_latency::LatencyFn;
+use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
 use sopt_network::instance::{Network, NetworkInstance};
-use sopt_network::spath::dijkstra;
 use sopt_solver::objective::CostModel;
 
 /// A certificate failure: where and by how much the conditions are violated.
@@ -149,6 +149,8 @@ pub fn certify_multicommodity(
         .zip(total.as_slice())
         .map(|(l, &f)| model.edge_gradient(l, f.max(0.0)))
         .collect();
+    let csr = Csr::new(graph);
+    let mut ws = SpWorkspace::new();
 
     for (ci, (flow, com)) in per_commodity.iter().zip(demands).enumerate() {
         // Conservation.
@@ -170,8 +172,8 @@ pub fn certify_multicommodity(
         if com.rate <= 0.0 {
             continue;
         }
-        let sp = dijkstra(graph, &costs, com.source);
-        let dist = sp.dist[com.sink.idx()];
+        ws.dijkstra(&csr, &costs, com.source);
+        let dist = ws.dist()[com.sink.idx()];
         let decomp = decompose(graph, flow, com.source, com.sink);
         if !decomp.cycles.is_empty() {
             let circ: f64 = decomp.cycles.iter().map(|(_, a)| a).sum();
@@ -206,7 +208,7 @@ mod tests {
     use super::*;
     use sopt_network::graph::NodeId;
     use sopt_network::DiGraph;
-    use sopt_solver::frank_wolfe::{solve_multicommodity, FwOptions};
+    use sopt_solver::frank_wolfe::{try_solve_warm_multicommodity, FwOptions};
 
     fn pigou_links() -> Vec<LatencyFn> {
         vec![LatencyFn::identity(), LatencyFn::constant(1.0)]
@@ -252,9 +254,10 @@ mod tests {
             1.0,
         );
         let opts = FwOptions::default();
-        let nash = solve_multicommodity(&inst, CostModel::Wardrop, &opts);
+        let nash = try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, None).unwrap();
         certify_network(&inst, &nash.flow, CostModel::Wardrop, 1e-5).expect("nash certified");
-        let opt = solve_multicommodity(&inst, CostModel::SystemOptimum, &opts);
+        let opt =
+            try_solve_warm_multicommodity(&inst, CostModel::SystemOptimum, &opts, None).unwrap();
         certify_network(&inst, &opt.flow, CostModel::SystemOptimum, 1e-5)
             .expect("optimum certified");
         // Cross-check: the Nash flow is not optimal and vice versa.

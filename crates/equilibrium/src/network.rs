@@ -1,11 +1,10 @@
 //! Equilibria on arbitrary k-commodity networks (Frank–Wolfe), read
 //! through the [`Network`] trait; an s–t instance is the one-commodity case.
 //!
-//! Every solve comes as a panicking convenience (`multicommodity_nash`)
-//! and a `try_` variant that surfaces the unreachable-sink failure as a
-//! typed [`SolverError`] and takes a warm start: `seed` is a per-commodity
-//! flow set (usually the `per_commodity` of a previous [`FwResult`], or
-//! MOP's free flows for an induced solve).
+//! Every solve surfaces the unreachable-sink failure as a typed
+//! [`SolverError`] and takes a warm start: `seed` is a per-commodity flow
+//! set (usually the `per_commodity` of a previous [`FwResult`], or MOP's
+//! free flows for an induced solve).
 
 use sopt_network::flow::EdgeFlow;
 use sopt_network::instance::{MultiCommodityInstance, Network};
@@ -42,13 +41,7 @@ pub fn warm_seed_from_per(per: Vec<EdgeFlow>) -> FwResult {
     }
 }
 
-/// Nash flow of a k-commodity instance. Panics where
-/// [`try_multicommodity_nash`] errors.
-pub fn multicommodity_nash(inst: &impl Network, opts: &FwOptions) -> FwResult {
-    try_multicommodity_nash(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`multicommodity_nash`] with typed errors and an optional warm start.
+/// Nash flow of a k-commodity instance, with an optional warm start.
 pub fn try_multicommodity_nash(
     inst: &impl Network,
     opts: &FwOptions,
@@ -57,13 +50,7 @@ pub fn try_multicommodity_nash(
     try_solve_warm_multicommodity(inst, CostModel::Wardrop, opts, seed)
 }
 
-/// Optimum flow of a k-commodity instance. Panics where
-/// [`try_multicommodity_optimum`] errors.
-pub fn multicommodity_optimum(inst: &impl Network, opts: &FwOptions) -> FwResult {
-    try_multicommodity_optimum(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`multicommodity_optimum`] with typed errors and an optional warm start.
+/// Optimum flow of a k-commodity instance, with an optional warm start.
 pub fn try_multicommodity_optimum(
     inst: &impl Network,
     opts: &FwOptions,
@@ -74,19 +61,8 @@ pub fn try_multicommodity_optimum(
 
 /// Induced equilibrium on a k-commodity instance: the Leader preloads edge
 /// flow `leader` whose per-commodity values are `leader_values[i]`; every
-/// commodity's followers route the remainder selfishly. Panics where
-/// [`try_induced_multicommodity`] errors.
-pub fn induced_multicommodity(
-    inst: &impl Network,
-    leader: &EdgeFlow,
-    leader_values: &[f64],
-    opts: &FwOptions,
-) -> FwResult {
-    try_induced_multicommodity(inst, leader, leader_values, opts, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`induced_multicommodity`] with typed errors and an optional warm start.
+/// commodity's followers route the remainder selfishly. Optional warm
+/// start.
 pub fn try_induced_multicommodity(
     inst: &impl Network,
     leader: &EdgeFlow,
@@ -154,8 +130,8 @@ mod tests {
     fn braess_nash_vs_optimum_costs() {
         let inst = braess();
         let opts = FwOptions::default();
-        let n = multicommodity_nash(&inst, &opts);
-        let o = multicommodity_optimum(&inst, &opts);
+        let n = try_multicommodity_nash(&inst, &opts, None).unwrap();
+        let o = try_multicommodity_optimum(&inst, &opts, None).unwrap();
         assert!((inst.cost(n.flow.as_slice()) - 2.0).abs() < 1e-6);
         assert!((inst.cost(o.flow.as_slice()) - 1.5).abs() < 1e-6);
     }
@@ -165,8 +141,8 @@ mod tests {
         let inst = braess();
         let opts = FwOptions::default();
         let zero = EdgeFlow::zeros(inst.num_edges());
-        let ind = induced_multicommodity(&inst, &zero, &[0.0], &opts);
-        let nash = multicommodity_nash(&inst, &opts);
+        let ind = try_induced_multicommodity(&inst, &zero, &[0.0], &opts, None).unwrap();
+        let nash = try_multicommodity_nash(&inst, &opts, None).unwrap();
         for e in 0..inst.num_edges() {
             assert!((ind.flow.0[e] - nash.flow.0[e]).abs() < 1e-5);
         }
@@ -178,7 +154,7 @@ mod tests {
         let opts = FwOptions::default();
         // Leader ships the whole unit on the two outer paths (optimum).
         let leader = EdgeFlow(vec![0.5, 0.5, 0.0, 0.5, 0.5]);
-        let ind = induced_multicommodity(&inst, &leader, &[1.0], &opts);
+        let ind = try_induced_multicommodity(&inst, &leader, &[1.0], &opts, None).unwrap();
         assert!(ind.flow.0.iter().all(|f| f.abs() < 1e-9));
     }
 
@@ -189,7 +165,7 @@ mod tests {
         let inst = braess();
         let opts = FwOptions::default();
         let leader = EdgeFlow(vec![0.25, 0.25, 0.0, 0.25, 0.25]);
-        let ind = induced_multicommodity(&inst, &leader, &[0.5], &opts);
+        let ind = try_induced_multicommodity(&inst, &leader, &[0.5], &opts, None).unwrap();
         assert!(ind.converged);
         // All follower flow uses the middle path.
         assert!((ind.flow.0[2] - 0.5).abs() < 1e-5, "{:?}", ind.flow);

@@ -105,12 +105,6 @@ impl ParallelLinks {
         })
     }
 
-    /// Nash assignment `N`; panics on infeasible instances.
-    pub fn nash(&self) -> ParallelProfile {
-        self.try_nash()
-            .expect("Nash equilibrium exists (rate within capacity)")
-    }
-
     /// Optimum assignment `O`. Errors on capacity saturation.
     pub fn try_optimum(&self) -> Result<ParallelProfile, EqualizeError> {
         let r = equalize(&self.latencies, self.rate, CostModel::SystemOptimum)?;
@@ -118,12 +112,6 @@ impl ParallelLinks {
             flows: r.flows,
             level: r.level,
         })
-    }
-
-    /// Optimum assignment `O`; panics on infeasible instances.
-    pub fn optimum(&self) -> ParallelProfile {
-        self.try_optimum()
-            .expect("optimum exists (rate within capacity)")
     }
 
     /// The equilibrium induced by Stackelberg strategy `S` (Remark 4.2):
@@ -185,23 +173,10 @@ impl ParallelLinks {
         })
     }
 
-    /// Induced equilibrium; panics on infeasible instances.
-    pub fn induced(&self, strategy: &[f64]) -> Induced {
-        self.try_induced(strategy)
-            .expect("induced equilibrium exists")
-    }
-
     /// Cost of the Stackelberg equilibrium `C(S + T)` for strategy `S`;
     /// errors on invalid strategies or infeasible instances.
     pub fn try_induced_cost(&self, strategy: &[f64]) -> Result<f64, EqualizeError> {
         Ok(self.cost(&self.try_induced(strategy)?.total))
-    }
-
-    /// Cost of the Stackelberg equilibrium `C(S + T)` for strategy `S`;
-    /// panics where [`Self::try_induced_cost`] errors.
-    pub fn induced_cost(&self, strategy: &[f64]) -> f64 {
-        self.try_induced_cost(strategy)
-            .expect("induced equilibrium exists")
     }
 }
 
@@ -216,10 +191,10 @@ mod tests {
     #[test]
     fn pigou_nash_and_optimum() {
         let links = pigou();
-        let n = links.nash();
+        let n = links.try_nash().unwrap();
         assert!((n.flows()[0] - 1.0).abs() < 1e-9);
         assert!((links.cost(n.flows()) - 1.0).abs() < 1e-9);
-        let o = links.optimum();
+        let o = links.try_optimum().unwrap();
         assert!((o.flows()[0] - 0.5).abs() < 1e-9);
         assert!((links.cost(o.flows()) - 0.75).abs() < 1e-9);
     }
@@ -228,7 +203,7 @@ mod tests {
     fn pigou_wise_strategy_induces_optimum() {
         // Paper Figs. 2–3: S = ⟨0, 1/2⟩ induces T = ⟨1/2, 0⟩.
         let links = pigou();
-        let ind = links.induced(&[0.0, 0.5]);
+        let ind = links.try_induced(&[0.0, 0.5]).unwrap();
         assert!((ind.follower[0] - 0.5).abs() < 1e-9, "{ind:?}");
         assert!(ind.follower[1].abs() < 1e-9);
         assert!((links.cost(&ind.total) - 0.75).abs() < 1e-9);
@@ -245,8 +220,8 @@ mod tests {
             ],
             1.5,
         );
-        let n = links.nash();
-        let ind = links.induced(&[0.0; 3]);
+        let n = links.try_nash().unwrap();
+        let ind = links.try_induced(&[0.0; 3]).unwrap();
         for i in 0..3 {
             assert!((ind.total[i] - n.flows()[i]).abs() < 1e-7);
         }
@@ -255,7 +230,7 @@ mod tests {
     #[test]
     fn full_control_is_leaders_choice() {
         let links = pigou();
-        let ind = links.induced(&[0.25, 0.75]);
+        let ind = links.try_induced(&[0.25, 0.75]).unwrap();
         assert!(ind.follower.iter().all(|t| t.abs() < 1e-12));
         assert_eq!(ind.total, vec![0.25, 0.75]);
     }
@@ -284,10 +259,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds rate")]
     fn oversized_strategy_rejected() {
         let links = pigou();
-        let _ = links.induced(&[1.0, 0.5]);
+        match links.try_induced(&[1.0, 0.5]) {
+            Err(EqualizeError::InvalidStrategy { reason }) => {
+                assert!(reason.contains("exceeds rate"), "{reason}")
+            }
+            other => panic!("expected InvalidStrategy, got {other:?}"),
+        }
     }
 
     #[test]
@@ -305,7 +284,7 @@ mod tests {
     #[test]
     fn induced_cost_of_optimal_strategy() {
         let links = pigou();
-        assert!((links.induced_cost(&[0.0, 0.5]) - 0.75).abs() < 1e-9);
-        assert!((links.induced_cost(&[0.0, 0.0]) - 1.0).abs() < 1e-9);
+        assert!((links.try_induced_cost(&[0.0, 0.5]).unwrap() - 0.75).abs() < 1e-9);
+        assert!((links.try_induced_cost(&[0.0, 0.0]).unwrap() - 1.0).abs() < 1e-9);
     }
 }

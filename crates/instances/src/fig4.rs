@@ -62,12 +62,12 @@ mod tests {
     fn ground_truth_reproduced() {
         let links = fig4_links();
         let e = fig4_expected();
-        let n = links.nash();
+        let n = links.try_nash().unwrap();
         assert!((n.level() - e.nash_level).abs() < 1e-9);
         for i in 0..5 {
             assert!((n.flows()[i] - e.nash[i]).abs() < 1e-9, "nash link {i}");
         }
-        let o = links.optimum();
+        let o = links.try_optimum().unwrap();
         for i in 0..5 {
             assert!(
                 (o.flows()[i] - e.optimum[i]).abs() < 1e-9,

@@ -56,7 +56,7 @@ mod tests {
     fn weight_instances_are_common_slope() {
         let links = random_weight_instance(5, 10, 3);
         // linear_optimal_strategy validates the common-slope form.
-        let r = linear_optimal_strategy(&links, 0.3);
+        let r = linear_optimal_strategy(&links, 0.3).unwrap();
         assert!(r.cost.is_finite());
         assert!(r.cost <= r.nash_cost + 1e-9);
         assert!(r.cost >= r.optimum_cost - 1e-9);
@@ -67,8 +67,9 @@ mod tests {
         for seed in [1u64, 7, 13] {
             let links = random_weight_instance(3, 8, seed);
             for &alpha in &[0.15, 0.35] {
-                let exact = linear_optimal_strategy(&links, alpha);
-                let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
+                let exact = linear_optimal_strategy(&links, alpha).unwrap();
+                let (_, brute) =
+                    brute_force_optimal(&links, alpha, &BruteOptions::default()).unwrap();
                 assert!(
                     exact.cost <= brute + 1e-5,
                     "seed {seed}, α={alpha}: Theorem 2.4 cost {} > brute {brute}",
@@ -81,8 +82,8 @@ mod tests {
     #[test]
     fn heavy_tail_partition_shifts_with_alpha() {
         let links = heavy_tail_instance(4, 12);
-        let lo = linear_optimal_strategy(&links, 0.1);
-        let hi = linear_optimal_strategy(&links, 0.9);
+        let lo = linear_optimal_strategy(&links, 0.1).unwrap();
+        let hi = linear_optimal_strategy(&links, 0.9).unwrap();
         assert!(hi.cost <= lo.cost + 1e-9, "more control can't hurt");
     }
 }

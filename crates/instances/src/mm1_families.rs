@@ -47,12 +47,12 @@ pub fn spread_links(m: usize, base: f64, ratio: f64, rate: f64) -> ParallelLinks
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_core::optop::optop;
+    use sopt_core::optop::try_optop;
 
     #[test]
     fn identical_links_have_zero_beta() {
         let links = identical_links(6, 2.0, 3.0);
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         assert!(r.beta < 1e-9, "β = {}", r.beta);
     }
 
@@ -61,12 +61,12 @@ mod tests {
         // Strong appeal gap: almost all flow lives on the fast pair in both
         // N and O, so the Leader controls (nearly) nothing.
         let strong_gap = appealing_group(2, 20.0, 4, 1.0, 2.0);
-        let beta_strong = optop(&strong_gap).beta;
+        let beta_strong = try_optop(&strong_gap).unwrap().beta;
         assert!(beta_strong < 1e-6, "appealing group β = {beta_strong}");
         // Contrast: a mild spread at high utilisation loads every link, the
         // small ones below their optimal share — β stays substantial.
         let contrast = spread_links(6, 1.0, 1.3, 8.0);
-        let beta_weak = optop(&contrast).beta;
+        let beta_weak = try_optop(&contrast).unwrap().beta;
         assert!(
             beta_weak > 0.01 && beta_strong < beta_weak,
             "appealing β = {beta_strong} should undercut spread β = {beta_weak}"
@@ -76,10 +76,10 @@ mod tests {
     #[test]
     fn spread_is_feasible_and_nontrivial() {
         let links = spread_links(5, 1.0, 2.0, 4.0);
-        let r = optop(&links);
+        let r = try_optop(&links).unwrap();
         assert!(r.beta >= 0.0 && r.beta < 1.0);
         // The strategy really enforces C(O).
-        let cost = links.induced_cost(&r.strategy);
+        let cost = links.try_induced_cost(&r.strategy).unwrap();
         assert!((cost - r.optimum_cost).abs() < 1e-6);
     }
 }

@@ -49,14 +49,14 @@ mod tests {
     fn ground_truth_reproduced() {
         let links = pigou_links();
         let e = pigou_expected();
-        let n = links.nash();
-        let o = links.optimum();
+        let n = links.try_nash().unwrap();
+        let o = links.try_optimum().unwrap();
         for i in 0..2 {
             assert!((n.flows()[i] - e.nash[i]).abs() < 1e-9);
             assert!((o.flows()[i] - e.optimum[i]).abs() < 1e-9);
         }
         assert!((links.cost(n.flows()) - e.nash_cost).abs() < 1e-9);
         assert!((links.cost(o.flows()) - e.optimum_cost).abs() < 1e-9);
-        assert!((links.induced_cost(&e.strategy) - e.optimum_cost).abs() < 1e-9);
+        assert!((links.try_induced_cost(&e.strategy).unwrap() - e.optimum_cost).abs() < 1e-9);
     }
 }

@@ -1,9 +1,9 @@
-//! Shortest paths: Dijkstra (production path), Bellman–Ford (test oracle),
-//! and the shortest-path subnetwork extraction used by `MOP` (paper
-//! footnote 5: "compute subgraph G̃ ⊆ G containing all edges traversed by a
-//! shortest path with respect to edge costs incurred by O").
+//! Shortest-path trees: Bellman–Ford (the test oracle for Dijkstra, which
+//! lives in [`crate::csr::SpWorkspace`]) and the shortest-path subnetwork
+//! extraction used by `MOP` (paper footnote 5: "compute subgraph G̃ ⊆ G
+//! containing all edges traversed by a shortest path with respect to edge
+//! costs incurred by O").
 
-use crate::csr::{Csr, SpWorkspace};
 use crate::graph::{DiGraph, EdgeId, NodeId};
 use crate::path::Path;
 
@@ -31,20 +31,6 @@ impl ShortestPaths {
         edges.reverse();
         Some(Path::new(g, edges))
     }
-}
-
-/// Dijkstra from `s` under nonnegative `edge_costs`. Panics on a negative
-/// cost (latencies are nonnegative, so costs `ℓ_e(o_e)` always qualify).
-///
-/// This is the allocating convenience wrapper: it builds a fresh
-/// [`Csr`] view and [`SpWorkspace`] per call. Hot loops (Frank–Wolfe's
-/// per-iteration all-or-nothing assignments) build both once and call
-/// [`SpWorkspace::dijkstra`] directly.
-pub fn dijkstra(g: &DiGraph, edge_costs: &[f64], s: NodeId) -> ShortestPaths {
-    let csr = Csr::new(g);
-    let mut ws = SpWorkspace::new();
-    ws.dijkstra(&csr, edge_costs, s);
-    ws.to_shortest_paths()
 }
 
 /// Bellman–Ford (test oracle for Dijkstra; also tolerates negative costs).
@@ -87,40 +73,38 @@ pub fn bellman_ford(g: &DiGraph, edge_costs: &[f64], s: NodeId) -> Option<Shorte
 use crate::graph::Edge;
 
 /// The *shortest-path subnetwork*: every edge `e = (u,v)` that lies on some
-/// shortest `s → …` path, i.e. `dist(u) + c_e = dist(v)` up to `tol`.
+/// shortest `s → …` path, i.e. `dist(u) + c_e = dist(v)` up to `tol`, where
+/// `dist` holds the distances from `s` (e.g. [`crate::csr::SpWorkspace::dist`]).
 ///
 /// This is the subgraph `G̃` of the paper's footnote 5; `MOP` routes the free
 /// (uncontrolled) flow inside it.
-pub fn shortest_dag_edges(
-    g: &DiGraph,
-    edge_costs: &[f64],
-    sp: &ShortestPaths,
-    tol: f64,
-) -> Vec<EdgeId> {
+pub fn shortest_dag_edges(g: &DiGraph, edge_costs: &[f64], dist: &[f64], tol: f64) -> Vec<EdgeId> {
     g.edge_ids()
         .filter(|&e| {
             let Edge { from, to } = g.edge(e);
-            let (du, dv) = (sp.dist[from.idx()], sp.dist[to.idx()]);
+            let (du, dv) = (dist[from.idx()], dist[to.idx()]);
             du.is_finite() && dv.is_finite() && (du + edge_costs[e.idx()] - dv).abs() <= tol
         })
         .collect()
 }
 
-/// Does `path` realise the shortest `s→t` distance under `edge_costs`?
+/// Does `path` realise the shortest `s→t` distance under `edge_costs`,
+/// given the distances `dist` from `s`?
 pub fn is_shortest_path(
     path: &Path,
     edge_costs: &[f64],
-    sp: &ShortestPaths,
+    dist: &[f64],
     g: &DiGraph,
     tol: f64,
 ) -> bool {
     let t = path.sink(g);
-    (path.cost(edge_costs) - sp.dist[t.idx()]).abs() <= tol
+    (path.cost(edge_costs) - dist[t.idx()]).abs() <= tol
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{Csr, SpWorkspace};
 
     fn diamond() -> DiGraph {
         // 0→1→3, 0→2→3, 1→2
@@ -136,10 +120,12 @@ mod tests {
     #[test]
     fn dijkstra_basic() {
         let g = diamond();
+        let csr = Csr::new(&g);
         let costs = [1.0, 4.0, 1.0, 5.0, 1.0];
-        let sp = dijkstra(&g, &costs, NodeId(0));
-        assert_eq!(sp.dist[3], 3.0); // 0→1→2→3
-        let p = sp.path_to(&g, NodeId(3)).unwrap();
+        let mut ws = SpWorkspace::new();
+        ws.dijkstra(&csr, &costs, NodeId(0));
+        assert_eq!(ws.dist()[3], 3.0); // 0→1→2→3
+        let p = ws.path_to(&g, &csr, NodeId(3)).unwrap();
         assert_eq!(p.edges(), &[EdgeId(0), EdgeId(2), EdgeId(4)]);
     }
 
@@ -147,7 +133,7 @@ mod tests {
     fn unreachable_is_infinite() {
         let mut g = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1));
-        let sp = dijkstra(&g, &[1.0], NodeId(0));
+        let sp = bellman_ford(&g, &[1.0], NodeId(0)).unwrap();
         assert!(sp.dist[2].is_infinite());
         assert!(sp.path_to(&g, NodeId(2)).is_none());
     }
@@ -156,10 +142,11 @@ mod tests {
     fn bellman_ford_agrees() {
         let g = diamond();
         let costs = [2.0, 1.0, 0.5, 3.0, 2.5];
-        let a = dijkstra(&g, &costs, NodeId(0));
+        let mut ws = SpWorkspace::new();
+        ws.dijkstra(&Csr::new(&g), &costs, NodeId(0));
         let b = bellman_ford(&g, &costs, NodeId(0)).unwrap();
         for v in 0..4 {
-            assert!((a.dist[v] - b.dist[v]).abs() < 1e-12);
+            assert!((ws.dist()[v] - b.dist[v]).abs() < 1e-12);
         }
     }
 
@@ -177,8 +164,8 @@ mod tests {
         // Two shortest 0→3 routes of cost 2: 0→1→3 via (1,1)? set costs so
         // e0+e3 = e1+e4 = 2 but e0+e2+e4 = 3.
         let costs = [1.0, 1.0, 1.0, 1.0, 1.0];
-        let sp = dijkstra(&g, &costs, NodeId(0));
-        let dag = shortest_dag_edges(&g, &costs, &sp, 1e-12);
+        let sp = bellman_ford(&g, &costs, NodeId(0)).unwrap();
+        let dag = shortest_dag_edges(&g, &costs, &sp.dist, 1e-12);
         // e2 (1→2) is not on a shortest path to 3: dist(1)+1 = 2 = dist(2)? dist(2)=1 via e1.
         assert!(dag.contains(&EdgeId(0)));
         assert!(dag.contains(&EdgeId(1)));
@@ -191,17 +178,17 @@ mod tests {
     fn is_shortest_path_checks_cost() {
         let g = diamond();
         let costs = [1.0, 1.0, 1.0, 1.0, 1.0];
-        let sp = dijkstra(&g, &costs, NodeId(0));
+        let sp = bellman_ford(&g, &costs, NodeId(0)).unwrap();
         let short = Path::new(&g, vec![EdgeId(0), EdgeId(3)]);
         let long = Path::new(&g, vec![EdgeId(0), EdgeId(2), EdgeId(4)]);
-        assert!(is_shortest_path(&short, &costs, &sp, &g, 1e-12));
-        assert!(!is_shortest_path(&long, &costs, &sp, &g, 1e-12));
+        assert!(is_shortest_path(&short, &costs, &sp.dist, &g, 1e-12));
+        assert!(!is_shortest_path(&long, &costs, &sp.dist, &g, 1e-12));
     }
 
     #[test]
     #[should_panic(expected = "nonnegative")]
     fn dijkstra_rejects_negative() {
         let g = diamond();
-        let _ = dijkstra(&g, &[1.0, -1.0, 1.0, 1.0, 1.0], NodeId(0));
+        SpWorkspace::new().dijkstra(&Csr::new(&g), &[1.0, -1.0, 1.0, 1.0, 1.0], NodeId(0));
     }
 }

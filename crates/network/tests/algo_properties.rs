@@ -8,7 +8,7 @@ use sopt_network::flow::{decompose, EdgeFlow};
 use sopt_network::graph::{DiGraph, NodeId};
 use sopt_network::maxflow::max_flow;
 use sopt_network::path::all_simple_paths;
-use sopt_network::spath::{bellman_ford, dijkstra};
+use sopt_network::spath::{bellman_ford, shortest_dag_edges};
 
 /// A random connected-ish layered DAG plus random extra edges.
 fn random_graph() -> impl Strategy<Value = (DiGraph, Vec<f64>)> {
@@ -45,15 +45,15 @@ proptest! {
 
     #[test]
     fn dijkstra_matches_bellman_ford((g, costs) in random_graph()) {
-        let sp_d = dijkstra(&g, &costs, NodeId(0));
+        // MOP reads its shortest-path subnetwork off the Dijkstra
+        // distances: both trees must induce the same one.
+        let mut ws = SpWorkspace::new();
+        ws.dijkstra(&Csr::new(&g), &costs, NodeId(0));
         let sp_b = bellman_ford(&g, &costs, NodeId(0)).expect("no negative cycles");
-        for v in 0..g.num_nodes() {
-            let (a, b) = (sp_d.dist[v], sp_b.dist[v]);
-            prop_assert!(
-                (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9,
-                "node {v}: dijkstra {a} vs bellman-ford {b}"
-            );
-        }
+        prop_assert_eq!(
+            shortest_dag_edges(&g, &costs, ws.dist(), 1e-9),
+            shortest_dag_edges(&g, &costs, &sp_b.dist, 1e-9)
+        );
     }
 
     #[test]
@@ -99,10 +99,12 @@ proptest! {
 
     #[test]
     fn dijkstra_parent_path_realises_dist((g, costs) in random_graph()) {
-        let sp = dijkstra(&g, &costs, NodeId(0));
+        let csr = Csr::new(&g);
+        let mut ws = SpWorkspace::new();
+        ws.dijkstra(&csr, &costs, NodeId(0));
         for v in 1..g.num_nodes() {
-            if let Some(p) = sp.path_to(&g, NodeId(v as u32)) {
-                prop_assert!((p.cost(&costs) - sp.dist[v]).abs() < 1e-9);
+            if let Some(p) = ws.path_to(&g, &csr, NodeId(v as u32)) {
+                prop_assert!((p.cost(&costs) - ws.dist()[v]).abs() < 1e-9);
             }
         }
     }

@@ -3,11 +3,9 @@
 //! The Frank–Wolfe linearised subproblem is an all-or-nothing shortest-path
 //! assignment; on a graph where a commodity's sink is cut off from its
 //! source there is no feasible flow at all, and the solvers report that as
-//! [`SolverError::UnreachableSink`] through the `try_` entry points
-//! ([`crate::frank_wolfe::try_solve_multicommodity`] and friends) and the
-//! all-or-nothing kernels in [`crate::aon`]. The panicking `solve_*`
-//! wrappers remain as shims for internal callers that pre-validate
-//! reachability.
+//! [`SolverError::UnreachableSink`] through the Frank–Wolfe entry points
+//! ([`crate::frank_wolfe::try_solve_warm_multicommodity`] and its `_with`
+//! form) and the all-or-nothing kernels in [`crate::aon`].
 
 use sopt_network::graph::NodeId;
 

@@ -23,13 +23,12 @@
 //!
 //! All per-iteration buffers (gradient costs, all-or-nothing targets,
 //! conjugate state, the Dijkstra heap) live in a [`FwWorkspace`]. The plain
-//! entry points ([`solve_multicommodity`] and its warm form) reuse a
-//! thread-local workspace, so back-to-back solves on one thread allocate
-//! only their results; the `_with` variant takes an explicit workspace for
-//! callers that manage their own.
+//! entry point [`try_solve_warm_multicommodity`] reuses a thread-local
+//! workspace, so back-to-back solves on one thread allocate only their
+//! results; the `_with` variant takes an explicit workspace for callers
+//! that manage their own.
 //!
-//! [`solve_warm_multicommodity`] / [`try_solve_warm_multicommodity`]
-//! additionally accept a previous [`FwResult`] as the starting point.
+//! Both accept a previous [`FwResult`] as the starting point.
 //! Seeding a solve with a nearby flow (the previous α of an anarchy-curve
 //! sweep, MOP's free flows for an induced solve) skips the all-or-nothing
 //! bootstrap and typically converges in a handful of iterations instead of
@@ -225,35 +224,12 @@ fn with_tls_workspace<R>(f: impl FnOnce(&mut FwWorkspace) -> R) -> R {
 
 /// Solve a k-commodity instance (an s–t instance is the `k = 1` case):
 /// per-commodity all-or-nothing directions with a common exact step in the
-/// combined flow space. Panics where [`try_solve_multicommodity`] errors.
-pub fn solve_multicommodity(inst: &impl Network, model: CostModel, opts: &FwOptions) -> FwResult {
-    try_solve_multicommodity(inst, model, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_multicommodity`] with typed errors.
-pub fn try_solve_multicommodity(
-    inst: &impl Network,
-    model: CostModel,
-    opts: &FwOptions,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm_multicommodity(inst, model, opts, None)
-}
-
-/// Multicommodity warm start: the per-commodity flows of `init` (rescaled
-/// per commodity to this instance's rates) seed the solve. A seed that
-/// does not fit (wrong shape, zero value, capacity violation after
-/// rescaling) silently falls back to the cold start. Panics where
-/// [`try_solve_warm_multicommodity`] errors.
-pub fn solve_warm_multicommodity(
-    inst: &impl Network,
-    model: CostModel,
-    opts: &FwOptions,
-    init: Option<&FwResult>,
-) -> FwResult {
-    try_solve_warm_multicommodity(inst, model, opts, init).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_warm_multicommodity`] with typed errors.
+/// combined flow space.
+///
+/// Warm start: the per-commodity flows of `init` (rescaled per commodity to
+/// this instance's rates) seed the solve. A seed that does not fit (wrong
+/// shape, zero value, capacity violation after rescaling) silently falls
+/// back to the cold start; `None` is the cold start.
 pub fn try_solve_warm_multicommodity(
     inst: &impl Network,
     model: CostModel,
@@ -689,7 +665,9 @@ mod tests {
     #[test]
     fn pigou_wardrop() {
         let inst = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r =
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default(), None)
+                .unwrap();
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         assert!((r.flow.0[0] - 1.0).abs() < 1e-6, "{:?}", r.flow);
         assert!(r.flow.0[1] < 1e-6);
@@ -698,7 +676,13 @@ mod tests {
     #[test]
     fn pigou_optimum() {
         let inst = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let r = solve_multicommodity(&inst, CostModel::SystemOptimum, &FwOptions::default());
+        let r = try_solve_warm_multicommodity(
+            &inst,
+            CostModel::SystemOptimum,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         assert!(r.converged);
         assert!((r.flow.0[0] - 0.5).abs() < 1e-6, "{:?}", r.flow);
         assert!((r.flow.0[1] - 0.5).abs() < 1e-6);
@@ -708,7 +692,9 @@ mod tests {
     #[test]
     fn braess_nash_floods_middle() {
         let inst = braess_classic();
-        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r =
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default(), None)
+                .unwrap();
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         let f = r.flow.as_slice();
         assert!((f[0] - 1.0).abs() < 1e-6, "{f:?}"); // s→v
@@ -720,7 +706,13 @@ mod tests {
     #[test]
     fn braess_optimum_avoids_middle() {
         let inst = braess_classic();
-        let r = solve_multicommodity(&inst, CostModel::SystemOptimum, &FwOptions::default());
+        let r = try_solve_warm_multicommodity(
+            &inst,
+            CostModel::SystemOptimum,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         assert!(r.converged);
         let f = r.flow.as_slice();
         assert!((f[0] - 0.5).abs() < 1e-6, "{f:?}");
@@ -738,7 +730,8 @@ mod tests {
         ];
         let inst = two_node(lats.clone(), 2.0);
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = solve_multicommodity(&inst, model, &FwOptions::default());
+            let fw =
+                try_solve_warm_multicommodity(&inst, model, &FwOptions::default(), None).unwrap();
             let eq = equalize(&lats, 2.0, model).unwrap();
             assert!(fw.converged);
             for i in 0..lats.len() {
@@ -779,7 +772,9 @@ mod tests {
                 },
             ],
         );
-        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r =
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default(), None)
+                .unwrap();
         assert!(r.converged);
         assert!((r.flow.0[2] - 3.0).abs() < 1e-9);
         assert!((r.per_commodity[0].0[0] - 1.0).abs() < 1e-9);
@@ -798,7 +793,9 @@ mod tests {
             rate: 0.0,
             priceable: Vec::new(),
         };
-        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r =
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default(), None)
+                .unwrap();
         assert!(r.converged);
         assert_eq!(r.flow.0[0], 0.0);
     }
@@ -821,7 +818,9 @@ mod tests {
             NodeId(2),
             3.0,
         );
-        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r =
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default(), None)
+                .unwrap();
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         assert!(r.flow.0[0] < 2.0);
         // Wardrop: both parallel edges loaded ⇒ equal latency.
@@ -836,7 +835,8 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1)); // node 2 is cut off
         let inst = NetworkInstance::new(g, vec![LatencyFn::identity()], NodeId(0), NodeId(2), 1.0);
         let err =
-            try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap_err();
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default(), None)
+                .unwrap_err();
         assert_eq!(
             err,
             SolverError::UnreachableSink {
@@ -851,8 +851,9 @@ mod tests {
     fn warm_start_from_own_solution_converges_immediately() {
         let inst = braess_classic();
         let opts = FwOptions::default();
-        let cold = solve_multicommodity(&inst, CostModel::Wardrop, &opts);
-        let warm = solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, Some(&cold));
+        let cold = try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, None).unwrap();
+        let warm =
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, Some(&cold)).unwrap();
         assert!(warm.converged);
         assert!(
             warm.iterations <= 2,
@@ -868,7 +869,8 @@ mod tests {
     fn warm_start_rescales_to_new_rate() {
         let inst = braess_classic();
         let opts = FwOptions::default();
-        let cold = solve_multicommodity(&inst, CostModel::SystemOptimum, &opts);
+        let cold =
+            try_solve_warm_multicommodity(&inst, CostModel::SystemOptimum, &opts, None).unwrap();
         // Same network at a slightly different rate: the seed rescales.
         let bumped = NetworkInstance::new(
             inst.graph.clone(),
@@ -877,8 +879,11 @@ mod tests {
             inst.sink,
             1.05,
         );
-        let warm = solve_warm_multicommodity(&bumped, CostModel::SystemOptimum, &opts, Some(&cold));
-        let fresh = solve_multicommodity(&bumped, CostModel::SystemOptimum, &opts);
+        let warm =
+            try_solve_warm_multicommodity(&bumped, CostModel::SystemOptimum, &opts, Some(&cold))
+                .unwrap();
+        let fresh =
+            try_solve_warm_multicommodity(&bumped, CostModel::SystemOptimum, &opts, None).unwrap();
         assert!(warm.converged && fresh.converged);
         assert!(warm.iterations <= fresh.iterations);
         for e in 0..5 {
@@ -901,7 +906,8 @@ mod tests {
             polish_rounds: 0,
             converged: false,
         };
-        let r = solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, Some(&bad));
+        let r =
+            try_solve_warm_multicommodity(&inst, CostModel::Wardrop, &opts, Some(&bad)).unwrap();
         assert!(r.converged);
         assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
     }
@@ -914,7 +920,13 @@ mod tests {
         assert_eq!(stall_window(17), 68);
         assert_eq!(stall_window(500), 2000);
         // It still drives a solve to convergence.
-        let r = solve_multicommodity(&braess_classic(), CostModel::Wardrop, &FwOptions::default());
+        let r = try_solve_warm_multicommodity(
+            &braess_classic(),
+            CostModel::Wardrop,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         assert!(r.converged);
         assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
     }

@@ -56,8 +56,8 @@ fn main() -> Result<(), SoptError> {
     let opts = FwOptions::default();
     for k in [1u32, 2, 4, 8, 16] {
         let inst = roughgarden_651(k);
-        let nash = multicommodity_nash(&inst, &opts);
-        let r = mop_multi(&inst, &opts);
+        let nash = try_multicommodity_nash(&inst, &opts, None)?;
+        let r = try_mop_multi(&inst, &opts)?;
         let cn = inst.cost(nash.flow.as_slice());
         let co = roughgarden_651_optimum_cost(k);
         println!(

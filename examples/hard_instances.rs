@@ -17,15 +17,14 @@ use stackopt::core::threshold::improvement_threshold_lower_bound;
 use stackopt::instances::hard::{heavy_tail_instance, random_weight_instance};
 use stackopt::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SoptError> {
     let links = heavy_tail_instance(4, 12);
     // The headline numbers through the session API (the Theorem 2.4 sweep
     // below stays on the algorithm surface — it needs the partition trace).
     let report = Scenario::from(links.clone())
         .solve()
         .task(Task::Beta)
-        .run()
-        .expect("heavy-tail instance is feasible");
+        .run()?;
     let ot = report.data.as_beta().unwrap();
     println!("heavy-tail instance: ℓ_i(x) = x + b_i, b = (1/12, 1/12, 1/12, 1)");
     println!(
@@ -33,7 +32,7 @@ fn main() {
         ot.beta,
         ot.nash_cost,
         ot.optimum_cost,
-        improvement_threshold_lower_bound(&links)
+        improvement_threshold_lower_bound(&links)?
     );
 
     println!(
@@ -42,8 +41,8 @@ fn main() {
     );
     for i in 0..=10 {
         let alpha = i as f64 / 10.0;
-        let exact = linear_optimal_strategy(&links, alpha);
-        let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
+        let exact = linear_optimal_strategy(&links, alpha)?;
+        let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default())?;
         let kind = match exact.kind {
             SolutionKind::EnforcedOptimum => "optimum enforced".to_string(),
             SolutionKind::Partition { i0, epsilon } => {
@@ -63,11 +62,12 @@ fn main() {
     for seed in 0..10u64 {
         let links = random_weight_instance(3, 10, seed);
         for &alpha in &[0.1, 0.25, 0.4] {
-            let exact = linear_optimal_strategy(&links, alpha);
-            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
+            let exact = linear_optimal_strategy(&links, alpha)?;
+            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default())?;
             worst_gap = worst_gap.max(exact.cost - brute);
         }
     }
     println!("worst (Thm 2.4 − brute) cost gap over 30 points: {worst_gap:.2e}");
     println!("(≤ 0 up to search resolution: the polynomial algorithm is optimal)");
+    Ok(())
 }

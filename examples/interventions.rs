@@ -46,7 +46,7 @@ fn main() -> Result<(), SoptError> {
             .alpha(p.alpha)
             .run()?;
         let c_llf = llf.data.as_llf().unwrap().cost;
-        let (_, c_scale) = scale(&links, p.alpha);
+        let (_, c_scale) = scale(&links, p.alpha)?;
         println!(
             "{:>6.2} {:>10.6} {:>12.6} {:>12.6}  {:<22}",
             p.alpha,

@@ -12,7 +12,7 @@
 //! in input order, so the table rows match the scenario list.
 
 use stackopt::core::llf::llf;
-use stackopt::core::optop::optop;
+use stackopt::core::optop::try_optop;
 use stackopt::core::scale::scale;
 use stackopt::instances::mm1_families::{appealing_group, identical_links, spread_links};
 use stackopt::prelude::*;
@@ -61,7 +61,7 @@ fn main() -> Result<(), SoptError> {
 
     // Strategy comparison on the interesting (spread) instance.
     let links = spread_links(6, 1.0, 1.3, 8.0);
-    let r = optop(&links);
+    let r = try_optop(&links)?;
     println!("\n== Strategy comparison on the spread instance ==");
     println!(
         "{:>6} {:>12} {:>12} {:>12}",
@@ -70,8 +70,8 @@ fn main() -> Result<(), SoptError> {
     let c_opt = r.optimum_cost;
     for i in 1..=10 {
         let alpha = i as f64 / 10.0;
-        let (_, c_llf) = llf(&links, alpha);
-        let (_, c_scale) = scale(&links, alpha);
+        let (_, c_llf) = llf(&links, alpha)?;
+        let (_, c_scale) = scale(&links, alpha)?;
         println!(
             "{alpha:>6.2} {:>12.4} {:>12.4} {:>12.4}",
             c_llf / c_opt,

@@ -10,7 +10,7 @@
 //! dispatches to (OpTop, the baselines).
 
 use stackopt::core::llf::llf;
-use stackopt::core::optop::optop;
+use stackopt::core::optop::try_optop;
 use stackopt::core::scale::scale;
 use stackopt::equilibrium::cost::coordination_ratio;
 use stackopt::prelude::*;
@@ -44,9 +44,9 @@ fn main() -> Result<(), SoptError> {
 
     // Under the hood: the same numbers from the algorithm surface.
     let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-    let result = optop(&links);
-    let (_, llf_cost) = llf(&links, result.beta);
-    let (_, scale_cost) = scale(&links, result.beta);
+    let result = try_optop(&links)?;
+    let (_, llf_cost) = llf(&links, result.beta)?;
+    let (_, scale_cost) = scale(&links, result.beta)?;
     println!("\nBaselines at α = β = {:.2}:", result.beta);
     println!("  LLF   cost = {llf_cost:.4}");
     println!("  SCALE cost = {scale_cost:.4}");

@@ -80,7 +80,7 @@ fn main() -> Result<(), SoptError> {
     let opts = FwOptions::default();
     for i in 0..=10 {
         let alpha = i as f64 / 10.0;
-        let (_, cost) = scale_network(&inst, alpha, &opts);
+        let (_, cost) = scale_network(&inst, alpha, &opts)?;
         println!("{alpha:>6.2} {cost:>12.2} {:>14.4}", cost / b.optimum_cost);
     }
     println!(

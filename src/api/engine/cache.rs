@@ -65,18 +65,15 @@ pub const DEFAULT_REPORT_CAPACITY: usize = 65_536;
 /// Default profile-table capacity (entries) of [`SolveCache::new`].
 pub const DEFAULT_PROFILE_CAPACITY: usize = 16_384;
 
-/// Every [`FwOptions`] field, bit-exactly — the cached [`FwResult`] of a
-/// network profile depends on all of them, so all of them key the entry.
-/// `pub(crate)` so the disk log ([`crate::api::serve::persist`]) can write
-/// and replay profile keys.
+/// The [`FwOptions`] fields that shape a network profile's cached
+/// [`FwResult`], bit-exactly. The AON mode is not one of them: every mode
+/// yields bit-identical flows (`tests/aon_parity.rs`). `pub(crate)` so the
+/// disk log ([`crate::api::serve::persist`]) can write and replay profile
+/// keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct FwKnobs {
     pub(crate) tolerance_bits: u64,
     pub(crate) max_iters: u64,
-    /// The AON strategy token ([`sopt_solver::AonMode::name`]):
-    /// grouped/parallel AON may break shortest-path ties differently from
-    /// sequential, so the mode keys the profile.
-    pub(crate) aon: &'static str,
 }
 
 impl FwKnobs {
@@ -84,7 +81,6 @@ impl FwKnobs {
         Self {
             tolerance_bits: fw.rel_gap.to_bits(),
             max_iters: fw.max_iters as u64,
-            aon: fw.aon.name(),
         }
     }
 }
@@ -113,7 +109,6 @@ impl ProfileKey {
             h.write_u64(1);
             h.write_u64(k.tolerance_bits);
             h.write_u64(k.max_iters);
-            h.write(k.aon.as_bytes());
         }
         (h.finish() as usize) & (shards - 1)
     }

@@ -18,15 +18,17 @@
 //! entry — serving a report whose `"class"` field lies about the scenario
 //! that hit the cache.
 //!
-//! The knob part folds in every [`SolveOptions`] field — task, tolerance
-//! bits, the optional α, curve steps, the iteration cap, and the
-//! weak/strong curve strategy — because each can change the report. A
+//! The knob part folds in every [`SolveOptions`] field that can change the
+//! report — task, tolerance bits, the optional α, curve steps, the
+//! iteration cap, the weak/strong curve strategy and the pricing budgets.
+//! The all-or-nothing mode (`aon`) is left out: every mode yields
+//! bit-identical flows (`tests/aon_parity.rs`), so it only changes how
+//! fast a report is computed, never the report. A
 //! 64-bit FNV-1a digest of the whole identity is kept alongside for cheap
 //! shard selection; equality always compares the full key, so hash
 //! collisions can never alias two different solves.
 
 use sopt_core::curve::CurveStrategy;
-use sopt_solver::AonMode;
 
 use super::super::scenario::{Scenario, ScenarioClass};
 use super::super::solve::{SolveOptions, Task};
@@ -102,10 +104,6 @@ pub struct Fingerprint {
     pub price_steps: usize,
     /// Pricing best-response round budget.
     pub price_rounds: usize,
-    /// Multi-commodity all-or-nothing strategy. Grouped/parallel AON may
-    /// break shortest-path ties differently from sequential, so the mode
-    /// is part of the report's identity.
-    pub aon: AonMode,
     /// FNV-1a digest of all of the above (shard selector, log handle).
     pub hash: u64,
 }
@@ -127,7 +125,6 @@ impl Fingerprint {
             options.strategy,
             options.price_steps,
             options.price_rounds,
-            options.aon,
         ))
     }
 
@@ -148,7 +145,6 @@ impl Fingerprint {
         strategy: CurveStrategy,
         price_steps: usize,
         price_rounds: usize,
-        aon: AonMode,
     ) -> Fingerprint {
         let mut h = Fnv64::default();
         h.write(spec.as_bytes());
@@ -161,7 +157,6 @@ impl Fingerprint {
         h.write_u64(strategy as u64);
         h.write_u64(price_steps as u64);
         h.write_u64(price_rounds as u64);
-        h.write(aon.name().as_bytes());
         Fingerprint {
             spec,
             class,
@@ -173,7 +168,6 @@ impl Fingerprint {
             strategy,
             price_steps,
             price_rounds,
-            aon,
             hash: h.finish(),
         }
     }
@@ -233,9 +227,10 @@ mod tests {
         let mut o = opts();
         o.price_rounds = 33;
         assert_ne!(base, Fingerprint::of(&sc, &o).unwrap());
+        // The AON mode never changes a report, so it shares the entry.
         let mut o = opts();
-        o.aon = AonMode::Sequential;
-        assert_ne!(base, Fingerprint::of(&sc, &o).unwrap());
+        o.aon = sopt_solver::AonMode::Sequential;
+        assert_eq!(base, Fingerprint::of(&sc, &o).unwrap());
         // Different scenario, same knobs.
         let other = Scenario::parse("x, 2.0").unwrap();
         assert_ne!(base, Fingerprint::of(&other, &opts()).unwrap());

@@ -1,8 +1,8 @@
 //! # The session API: `Scenario` → `Solve` → `Report`
 //!
 //! One uniform entry point over everything the paper computes, replacing
-//! the per-algorithm free functions (`optop(&ParallelLinks)`,
-//! `mop_multi(&impl Network, &FwOptions)`) for application code. The
+//! the per-algorithm free functions (`try_optop(&ParallelLinks)`,
+//! `try_mop_multi(&impl Network, &FwOptions)`) for application code. The
 //! shape follows how the Stackelberg literature frames the problem — one
 //! leader-computation task, parameterized by instance class:
 //!

@@ -430,11 +430,9 @@ impl ScenarioModel for ParallelLinks {
         _optimum: &ModelProfile,
         _nash: &ModelProfile,
     ) -> Result<CurveReport, SoptError> {
-        // The profiles already gated feasibility (anarchy_curve calls the
-        // panicking internals); the exact/brute-force/heuristic oracle
-        // selection lives in the core curve. Weak and strong coincide on a
-        // single commodity.
-        let c = anarchy_curve(self, alphas);
+        // The exact/brute-force/heuristic oracle selection lives in the
+        // core curve. Weak and strong coincide on a single commodity.
+        let c = anarchy_curve(self, alphas)?;
         Ok(CurveReport {
             beta: c.beta,
             weak_beta: None,

@@ -1,13 +1,13 @@
 //! The disk-backed second-level cache: an append-only log of solved
 //! reports and equilibrium profiles, replayed on startup.
 //!
-//! ## File format (`soptcache` version 3)
+//! ## File format (`soptcache` version 4)
 //!
-//! A plain text file. Line 1 is the header `soptcache 3`; every further
+//! A plain text file. Line 1 is the header `soptcache 4`; every further
 //! line is one record, tab-separated:
 //!
 //! ```text
-//! R␉task␉class␉tol₁₆␉alpha₁₆␉steps␉max_iters␉strategy␉psteps␉prounds␉aon␉spec␉payload
+//! R␉task␉class␉tol₁₆␉alpha₁₆␉steps␉max_iters␉strategy␉psteps␉prounds␉spec␉payload
 //! P␉class␉kind␉fwknobs␉spec␉payload
 //! ```
 //!
@@ -15,10 +15,11 @@
 //! [`Fingerprint`] fields (the digest is recomputed on replay, so the log
 //! carries no hash to go stale). `P` records are profile-memo entries —
 //! the [`ProfileKey`] fields, with `fwknobs` either `-` (knob-free
-//! parallel equalizer) or `tol₁₆:max_iters:aon`. (Version 2 added the
-//! `aon` strategy token to both key shapes; version 3 dropped the
-//! conjugate, restart and stall-window tokens from `fwknobs` when those
-//! solver settings stopped being options.)
+//! parallel equalizer) or `tol₁₆:max_iters`. (Version 2 added the `aon`
+//! strategy token to both key shapes; version 3 dropped the conjugate,
+//! restart and stall-window tokens from `fwknobs` when those solver
+//! settings stopped being options; version 4 dropped the `aon` token again
+//! once every AON mode was shown to produce bit-identical flows.)
 //!
 //! Every `f64` in a key or payload is written as the 16-hex-digit big-endian
 //! encoding of its IEEE-754 bits (`f64::to_bits`), **never** as decimal
@@ -33,7 +34,7 @@
 //!   recompute and not worth the bytes.
 //! * A torn final line (crash mid-append) or any undecodable record is
 //!   skipped on replay; the rest of the log still loads.
-//! * A file whose header is not `soptcache 3` — an older version's
+//! * A file whose header is not `soptcache 4` — an older version's
 //!   included — is refused with a typed [`SoptError::Io`]: every format
 //!   change bumps the header rather than silently misparsing.
 //! * Append failures (disk full, revoked permissions) poison the log
@@ -46,7 +47,6 @@ use std::path::Path;
 use sopt_core::curve::CurveStrategy;
 use sopt_network::flow::EdgeFlow;
 use sopt_solver::frank_wolfe::FwResult;
-use sopt_solver::AonMode;
 
 use super::super::engine::cache::{DiskAttachment, EqKind, FwKnobs, ProfileKey, SolveCache};
 use super::super::engine::fingerprint::Fingerprint;
@@ -59,8 +59,8 @@ use super::super::report::{
 use super::super::scenario::ScenarioClass;
 use super::super::solve::Task;
 
-/// The header line a version-3 cache file starts with.
-const HEADER: &str = "soptcache 3";
+/// The header line a version-4 cache file starts with.
+const HEADER: &str = "soptcache 4";
 
 /// The write side of the log. Appends are serialized by a mutex and
 /// flushed per record; a failed append poisons the handle (persistence
@@ -110,7 +110,7 @@ pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
             if lines.next() != Some(HEADER) {
                 return Err(SoptError::Io {
                     context: format!(
-                        "'{}' is not a soptcache v3 file (bad header)",
+                        "'{}' is not a soptcache v4 file (bad header)",
                         path.display()
                     ),
                 });
@@ -177,7 +177,7 @@ pub(crate) fn compact(path: &Path) -> Result<(usize, usize), SoptError> {
     if lines.next() != Some(HEADER) {
         return Err(SoptError::Io {
             context: format!(
-                "'{}' is not a soptcache v3 file (bad header)",
+                "'{}' is not a soptcache v4 file (bad header)",
                 path.display()
             ),
         });
@@ -365,7 +365,7 @@ fn encode_report(fp: &Fingerprint, report: &Report) -> Option<String> {
     }
     let payload = encode_report_payload(report)?;
     Some(format!(
-        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         fp.task.name(),
         class_name(fp.class),
         hx_bits(fp.tolerance_bits),
@@ -375,7 +375,6 @@ fn encode_report(fp: &Fingerprint, report: &Report) -> Option<String> {
         fp.strategy.name(),
         fp.price_steps,
         fp.price_rounds,
-        fp.aon.name(),
         fp.spec,
         payload
     ))
@@ -490,7 +489,6 @@ fn decode_report(mut fields: std::str::Split<'_, char>) -> Option<Record> {
     let strategy = CurveStrategy::from_name(fields.next()?)?;
     let price_steps: usize = fields.next()?.parse().ok()?;
     let price_rounds: usize = fields.next()?.parse().ok()?;
-    let aon = AonMode::from_name(fields.next()?)?;
     let spec = fields.next()?.to_string();
     let payload = fields.next()?;
     if fields.next().is_some() {
@@ -523,7 +521,6 @@ fn decode_report(mut fields: std::str::Split<'_, char>) -> Option<Record> {
         strategy,
         price_steps,
         price_rounds,
-        aon,
     );
     Some(Record::Report(fp, report))
 }
@@ -639,7 +636,7 @@ fn encode_profile(key: &ProfileKey, profile: &ModelProfile) -> Option<String> {
     }
     let fw = match key.fw {
         None => "-".to_string(),
-        Some(k) => format!("{}:{}:{}", hx_bits(k.tolerance_bits), k.max_iters, k.aon),
+        Some(k) => format!("{}:{}", hx_bits(k.tolerance_bits), k.max_iters),
     };
     let payload = match profile {
         ModelProfile::Parallel { flows, level } => {
@@ -684,7 +681,6 @@ fn decode_profile(mut fields: std::str::Split<'_, char>) -> Option<Record> {
         let knobs = FwKnobs {
             tolerance_bits: unhx_bits(parts.next()?)?,
             max_iters: parts.next()?.parse().ok()?,
-            aon: AonMode::from_name(parts.next()?)?.name(),
         };
         if parts.next().is_some() {
             return None;
@@ -840,7 +836,6 @@ mod tests {
             fw: Some(FwKnobs {
                 tolerance_bits: 1e-10f64.to_bits(),
                 max_iters: 2000,
-                aon: AonMode::Auto.name(),
             }),
         };
         let fw_profile = ModelProfile::Flow(FwResult {
@@ -909,9 +904,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sopt-compact-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("not-a-cache");
-        // A version-2 log is refused like any foreign file: its profile
-        // records carry knob tokens this version no longer reads.
-        for text in ["something else\n", "soptcache 2\n"] {
+        // Version-2 and version-3 logs are refused like any foreign file:
+        // their records carry knob tokens this version no longer reads.
+        for text in ["something else\n", "soptcache 2\n", "soptcache 3\n"] {
             std::fs::write(&path, text).unwrap();
             assert!(matches!(
                 compact(&path).unwrap_err(),

@@ -118,7 +118,9 @@ pub struct SolveOptions {
     /// Multi-commodity all-or-nothing strategy: origin-grouped one-to-many
     /// Dijkstra, optionally fanned across threads. Default
     /// [`AonMode::Auto`]; [`AonMode::Sequential`] reproduces the
-    /// per-commodity query loop for honest A/B.
+    /// per-commodity query loop for honest A/B. Every mode yields
+    /// bit-identical flows, so the mode changes speed only and is not part
+    /// of the cache identity.
     pub aon: AonMode,
 }
 

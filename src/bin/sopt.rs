@@ -32,10 +32,6 @@
 //! solved requests bit-identically without recomputing. `cache compact`
 //! rewrites such a log offline, dropping torn records and superseded
 //! duplicates.
-//!
-//! The classic per-task subcommands (`sopt beta --links …`, `curve`,
-//! `equilib`, `tolls`, `llf`) remain as thin aliases for
-//! `solve --task … --format text`.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -121,13 +117,6 @@ options:
                                             Prometheus-style text exposition
                                             on stderr when the serve session
                                             ends
-
-legacy aliases (equivalent to solve --task … --format text):
-  sopt beta    --links SPEC [--rate R]
-  sopt curve   --links SPEC [--rate R] [--steps N]
-  sopt equilib --links SPEC [--rate R]
-  sopt tolls   --links SPEC [--rate R]
-  sopt llf     --links SPEC --alpha A [--rate R]
 
 SPEC is either comma-separated latencies (x | 2x+0.3 | 0.7 | x^3 |
 mm1:2.0 | bpr:t0,b,c,p, optionally '… @ rate') or a network spec
@@ -239,15 +228,15 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("missing value after {flag}"))
         };
         let value = match flag {
-            "--spec" | "--links" | "--file" | "--task" | "--format" | "--rate" | "--steps"
-            | "--alpha" | "--tolerance" | "--max-iters" | "--threads" | "--strategy"
-            | "--price-steps" | "--price-rounds" | "--aon" | "--family" | "--count" | "--seed"
-            | "--size" | "--commodities" | "--socket" | "--cache" | "--report-capacity"
+            "--spec" | "--file" | "--task" | "--format" | "--rate" | "--steps" | "--alpha"
+            | "--tolerance" | "--max-iters" | "--threads" | "--strategy" | "--price-steps"
+            | "--price-rounds" | "--aon" | "--family" | "--count" | "--seed" | "--size"
+            | "--commodities" | "--socket" | "--cache" | "--report-capacity"
             | "--profile-capacity" | "--shed" => value()?,
             other => return Err(format!("unknown flag '{other}'")),
         };
         match flag {
-            "--spec" | "--links" => out.spec = Some(value.clone()),
+            "--spec" => out.spec = Some(value.clone()),
             "--file" => out.file = Some(value.clone()),
             "--task" => {
                 out.task = value.parse().map_err(|e: SoptError| e.to_string())?;
@@ -379,7 +368,7 @@ fn run() -> Result<(), String> {
         return Err("no command given".into());
     };
     // `cache` takes a positional subcommand, so it is dispatched before
-    // the flag parser (and before the legacy task aliases). `import`
+    // the flag parser. `import`
     // reuses `--format` for the *input* format (tntp), which would
     // collide with the output-format flag, so it parses its own flags.
     if cmd == "cache" {
@@ -388,25 +377,11 @@ fn run() -> Result<(), String> {
     if cmd == "import" {
         return run_import(rest);
     }
-    let mut args = parse_args(rest)?;
+    let args = parse_args(rest)?;
 
-    // Legacy aliases: `sopt beta --links …` ≡ `sopt solve --task beta`.
-    let cmd = match cmd.as_str() {
-        "solve" | "batch" | "gen" | "serve" => cmd.as_str(),
-        legacy => {
-            args.task = legacy
-                .parse()
-                .map_err(|_| format!("unknown command '{legacy}'"))?;
-            "solve"
-        }
-    };
-
-    match cmd {
+    match cmd.as_str() {
         "solve" => {
-            let spec = args
-                .spec
-                .as_deref()
-                .ok_or("--spec (or --links) is required")?;
+            let spec = args.spec.as_deref().ok_or("--spec is required")?;
             if args.threads.is_some() {
                 return Err("--threads only applies to 'sopt batch' and 'sopt serve'".into());
             }
@@ -610,7 +585,7 @@ fn run() -> Result<(), String> {
             print!("{text}");
             Ok(())
         }
-        _ => unreachable!("cmd is normalised above"),
+        other => Err(format!("unknown command '{other}'")),
     }
 }
 

@@ -46,9 +46,10 @@
 //! assert!((beta.optimum_cost - 0.75).abs() < 1e-9); // C(O) = 3/4
 //! assert!((beta.beta - 0.5).abs() < 1e-9);
 //!
-//! // The algorithm surface remains available for custom pipelines.
+//! // The algorithm surface remains available for custom pipelines; its
+//! // errors convert into `SoptError` too.
 //! let links = ParallelLinks::new(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-//! assert!((optop(&links).beta - 0.5).abs() < 1e-9);
+//! assert!((try_optop(&links)?.beta - 0.5).abs() < 1e-9);
 //! # Ok::<(), SoptError>(())
 //! ```
 
@@ -73,11 +74,11 @@ pub mod prelude {
     };
     pub use sopt_core::linear_optimal::linear_optimal_strategy;
     pub use sopt_core::llf::llf_strategy;
-    pub use sopt_core::mop_multi::mop_multi;
-    pub use sopt_core::optop::optop;
+    pub use sopt_core::mop_multi::try_mop_multi;
+    pub use sopt_core::optop::try_optop;
     pub use sopt_core::scale::scale_strategy;
-    pub use sopt_core::strategy::{induced_cost, ParallelStrategy};
-    pub use sopt_equilibrium::network::{multicommodity_nash, multicommodity_optimum};
+    pub use sopt_core::strategy::ParallelStrategy;
+    pub use sopt_equilibrium::network::{try_multicommodity_nash, try_multicommodity_optimum};
     pub use sopt_equilibrium::parallel::{ParallelLinks, ParallelProfile};
     pub use sopt_latency::{Affine, Bpr, Constant, Latency, LatencyFn, Monomial, Polynomial, MM1};
     pub use sopt_network::graph::{DiGraph, EdgeId, NodeId};

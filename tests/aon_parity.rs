@@ -2,7 +2,8 @@
 //! `AonMode` resolves the per-iteration all-or-nothing targets —
 //! sequential per-commodity queries, origin-grouped one-to-many queries,
 //! or the threaded fan-out — every per-commodity edge flow of the solved
-//! optimum must agree to ≤1e-12 with the historical sequential solver.
+//! optimum must be bit-identical to the historical sequential solver's.
+//! That is what lets the result caches leave the mode out of their keys.
 //! Forcing `Grouped` and `Parallel` explicitly exercises both sides of
 //! the `Auto` work threshold without needing city-scale instances per
 //! proptest case.
@@ -34,7 +35,7 @@ fn assert_parity(inst: &MultiCommodityInstance) -> Result<(), TestCaseError> {
         for (ci, (a, b)) in got.iter().zip(&sequential).enumerate() {
             for (e, (x, y)) in a.iter().zip(b).enumerate() {
                 prop_assert!(
-                    (x - y).abs() <= 1e-12,
+                    x.to_bits() == y.to_bits(),
                     "{:?} commodity {} edge {}: {} vs sequential {}",
                     mode,
                     ci,

@@ -2,6 +2,9 @@
 //! every scenario class where defined, every `SoptError` variant, batch
 //! ordering, and serializer validity.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use proptest::prelude::*;
 use stackopt::api::{parse_batch_file, Batch, Report, Scenario, ScenarioClass, SoptError, Task};
 use stackopt::prelude::*;
 
@@ -447,6 +450,62 @@ fn beta_is_invariant_under_the_unit_of_demand() {
                 (induced - optimum).abs() <= 1e-6 * optimum,
                 "{what}: induced {induced} vs C(O) {optimum}"
             );
+        }
+    }
+}
+
+/// One random parallel link as spec text, plus its M/M/1 capacity (0 for
+/// the uncapacitated kinds).
+fn link_spec(kind: u8, a: f64, b: f64, degree: u32) -> (String, f64) {
+    match kind {
+        0 => (format!("{a}x+{b}"), 0.0),
+        1 => (format!("{a}x^{degree}"), 0.0),
+        2 => (format!("{b}"), 0.0),
+        _ => (format!("mm1:{a}"), a),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// No parallel-links input panics the session layer: affine, monomial,
+    /// constant and M/M/1 links, a single link, M/M/1 systems loaded up to
+    /// 0.999 of their capacity, and a zero rate. Every task returns a
+    /// report or a typed `SoptError`. Small curve and pricing budgets keep
+    /// the case count affordable; they change no code path.
+    #[test]
+    fn random_parallel_specs_never_panic(
+        links in proptest::collection::vec((0u8..4, 0.1f64..3.0, 0.0f64..2.0, 2u32..5), 1..5),
+        all_mm1 in any::<bool>(),
+        load in 0.0f64..0.999,
+        rate_pick in 0u8..8,
+    ) {
+        let (specs, caps): (Vec<String>, Vec<f64>) = links
+            .into_iter()
+            .map(|(kind, a, b, d)| link_spec(if all_mm1 { 3 } else { kind }, a, b, d))
+            .unzip();
+        let capacity: f64 = caps.iter().sum();
+        let rate = match (rate_pick, capacity > 0.0) {
+            (0, _) => 0.0,
+            (1, true) => 0.999 * capacity,
+            (_, true) => load * capacity,
+            (_, false) => 4.0 * load,
+        };
+        let spec = format!("{} @ {rate}", specs.join(", "));
+        for task in Task::ALL {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut solve = Scenario::parse(&spec)?
+                    .solve()
+                    .task(task)
+                    .steps(4)
+                    .price_steps(6)
+                    .price_rounds(4);
+                if task == Task::Llf {
+                    solve = solve.alpha(0.5);
+                }
+                solve.run()
+            }));
+            prop_assert!(outcome.is_ok(), "{task} panicked on '{spec}'");
         }
     }
 }

@@ -3,9 +3,9 @@
 
 use stackopt::core::brute::{brute_force_optimal, BruteOptions};
 use stackopt::core::linear_optimal::linear_optimal_strategy;
-use stackopt::core::optop::optop;
+use stackopt::core::optop::try_optop;
 use stackopt::instances::random::{
-    random_common_slope, random_layered_network, random_mixed, random_mixed_smooth,
+    try_random_common_slope, try_random_layered_network, try_random_mixed, try_random_mixed_smooth,
 };
 use stackopt::latency::LatencyFn;
 use stackopt::network::graph::{DiGraph, NodeId};
@@ -33,19 +33,22 @@ fn as_network(links: &ParallelLinks) -> NetworkInstance {
 /// The equalizer (closed-form inverses + bisection) and Frank–Wolfe
 /// (first-order method) agree on parallel links for both equilibria.
 /// (Smooth-marginal families: the FW SystemOptimum gap certificate is
-/// undefined at piecewise-linear kinks — see `random_mixed` docs.)
+/// undefined at piecewise-linear kinks — see `try_random_mixed` docs.)
 #[test]
 fn equalizer_vs_frank_wolfe() {
     for seed in 0..8u64 {
-        let links = random_mixed_smooth(5, 1.5, seed);
+        let links = try_random_mixed_smooth(5, 1.5, seed).unwrap();
         let inst = as_network(&links);
         let opts = FwOptions::default();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = stackopt::solver::frank_wolfe::solve_multicommodity(&inst, model, &opts);
+            let fw = stackopt::solver::frank_wolfe::try_solve_warm_multicommodity(
+                &inst, model, &opts, None,
+            )
+            .unwrap();
             assert!(fw.converged, "seed {seed} {model:?}");
             let eq = match model {
-                CostModel::Wardrop => links.nash(),
-                CostModel::SystemOptimum => links.optimum(),
+                CostModel::Wardrop => links.try_nash().unwrap(),
+                CostModel::SystemOptimum => links.try_optimum().unwrap(),
             };
             // Compare total costs (flows may permute among identical links).
             let c_fw = links.cost(fw.flow.as_slice());
@@ -63,10 +66,13 @@ fn equalizer_vs_frank_wolfe() {
 #[test]
 fn frank_wolfe_vs_pgd() {
     for seed in [3u64, 9, 21] {
-        let inst = random_layered_network(2, 2, 1.0, seed);
+        let inst = try_random_layered_network(2, 2, 1.0, seed).unwrap();
         let opts = FwOptions::default();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = stackopt::solver::frank_wolfe::solve_multicommodity(&inst, model, &opts);
+            let fw = stackopt::solver::frank_wolfe::try_solve_warm_multicommodity(
+                &inst, model, &opts, None,
+            )
+            .unwrap();
             let pg = path_equilibrium(&inst, model, 100, 30_000);
             let c_fw = inst.cost(fw.flow.as_slice());
             let c_pg = inst.cost(pg.flow.as_slice());
@@ -84,9 +90,9 @@ fn frank_wolfe_vs_pgd() {
 #[test]
 fn optop_vs_mop_on_parallel_links() {
     for seed in 0..6u64 {
-        let links = random_common_slope(4, 1.0, seed);
-        let ot = optop(&links);
-        let mp = mop_multi(&as_network(&links), &FwOptions::default());
+        let links = try_random_common_slope(4, 1.0, seed).unwrap();
+        let ot = try_optop(&links).unwrap();
+        let mp = try_mop_multi(&as_network(&links), &FwOptions::default()).unwrap();
         assert!(
             (ot.beta - mp.beta).abs() < 1e-4,
             "seed {seed}: OpTop β {} vs MOP β {}",
@@ -102,18 +108,18 @@ fn optop_vs_mop_on_parallel_links() {
 fn theorem_24_vs_brute_force() {
     let mut hard_side_seen = 0;
     for seed in 0..10u64 {
-        let links = random_common_slope(3, 1.0, seed);
-        let beta = optop(&links).beta;
+        let links = try_random_common_slope(3, 1.0, seed).unwrap();
+        let beta = try_optop(&links).unwrap().beta;
         for &alpha in &[0.15, 0.35, 0.6] {
-            let exact = linear_optimal_strategy(&links, alpha);
-            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
+            let exact = linear_optimal_strategy(&links, alpha).unwrap();
+            let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default()).unwrap();
             assert!(
                 exact.cost <= brute + 1e-5,
                 "seed {seed} α={alpha}: exact {} > brute {brute}",
                 exact.cost
             );
             // The claimed cost must be realisable.
-            let realised = links.induced_cost(&exact.strategy);
+            let realised = links.try_induced_cost(&exact.strategy).unwrap();
             assert!(
                 (realised - exact.cost).abs() < 1e-5 * exact.cost.max(1.0),
                 "seed {seed} α={alpha}: claimed {} realised {realised}",
@@ -136,10 +142,10 @@ fn theorem_24_vs_brute_force() {
 #[test]
 fn llf_guarantee_on_random_instances() {
     for seed in 0..10u64 {
-        let links = random_mixed(5, 2.0, seed);
-        let copt = links.cost(links.optimum().flows());
+        let links = try_random_mixed(5, 2.0, seed).unwrap();
+        let copt = links.cost(links.try_optimum().unwrap().flows());
         for &alpha in &[0.2, 0.5, 0.8] {
-            let (_, cost) = stackopt::core::llf::llf(&links, alpha);
+            let (_, cost) = stackopt::core::llf::llf(&links, alpha).unwrap();
             assert!(cost >= copt - 1e-7, "cannot beat the optimum");
             assert!(
                 cost <= copt / alpha + 1e-6,
@@ -162,13 +168,13 @@ fn strategy_cost_sandwich() {
         ],
         1.0,
     );
-    let ot = optop(&links);
+    let ot = try_optop(&links).unwrap();
     let c_opt = ot.optimum_cost;
     let c_nash = ot.nash_cost;
     assert!(c_opt < c_nash, "instance must be nontrivial");
     for &frac in &[0.0, 0.25, 0.5, 0.75, 1.0] {
         let s: Vec<f64> = ot.strategy.iter().map(|x| x * frac).collect();
-        let c = links.induced_cost(&s);
+        let c = links.try_induced_cost(&s).unwrap();
         assert!(c >= c_opt - 1e-9 && c <= c_nash + 1e-7, "frac {frac}: {c}");
     }
 }

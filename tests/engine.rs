@@ -10,7 +10,7 @@ use stackopt::api::{
     parse_batch_file, Batch, Engine, Report, Scenario, SolveCache, SoptError, Task,
 };
 use stackopt::fleet::{generate_fleet, Family};
-use stackopt::instances::random::random_layered_network;
+use stackopt::instances::random::try_random_layered_network;
 
 /// A *uniform* fleet: same-shaped small parallel scenarios, distinct seeds.
 fn uniform_fleet(n: usize) -> Vec<Scenario> {
@@ -21,7 +21,9 @@ fn uniform_fleet(n: usize) -> Vec<Scenario> {
 /// costlier under Frank–Wolfe), then many tiny parallel scenarios — the
 /// shape equal-count chunking handles worst.
 fn skewed_fleet(tiny: usize) -> Vec<Scenario> {
-    let mut fleet = vec![Scenario::from(random_layered_network(3, 4, 2.0, 5))];
+    let mut fleet = vec![Scenario::from(
+        try_random_layered_network(3, 4, 2.0, 5).unwrap(),
+    )];
     fleet.extend(uniform_fleet(tiny));
     fleet
 }
@@ -62,7 +64,9 @@ fn engine_matches_sequential_solves_on_skewed_fleets() {
     // The heavy network first in input order, and last: the scheduler
     // claims it first either way, but results must land in its input slot.
     let mut heavy_last = uniform_fleet(16);
-    heavy_last.push(Scenario::from(random_layered_network(3, 4, 2.0, 5)));
+    heavy_last.push(Scenario::from(
+        try_random_layered_network(3, 4, 2.0, 5).unwrap(),
+    ));
     for fleet in [skewed_fleet(16), heavy_last] {
         let expected = rendered(&sequential(&fleet, Task::Beta));
         for threads in [1, 2, 8] {

@@ -3,8 +3,8 @@
 //! curve, and the CLI spec parser feeding real computations.
 
 use stackopt::core::curve::anarchy_curve;
-use stackopt::core::optop::optop;
-use stackopt::core::tolls::{marginal_cost_tolls, try_marginal_cost_tolls_multi};
+use stackopt::core::optop::try_optop;
+use stackopt::core::tolls::{try_marginal_cost_tolls, try_marginal_cost_tolls_multi};
 use stackopt::equilibrium::certify::certify_parallel;
 use stackopt::instances::braess::fig7_instance;
 use stackopt::instances::fig4::fig4_links;
@@ -23,8 +23,8 @@ fn piecewise_links_equalize_and_certify() {
         ],
         1.5,
     );
-    let n = links.nash();
-    let o = links.optimum();
+    let n = links.try_nash().unwrap();
+    let o = links.try_optimum().unwrap();
     certify_parallel(links.latencies(), n.flows(), 1.5, CostModel::Wardrop, 1e-6)
         .expect("piecewise Nash certified");
     certify_parallel(
@@ -38,20 +38,20 @@ fn piecewise_links_equalize_and_certify() {
     assert!(links.cost(o.flows()) <= links.cost(n.flows()) + 1e-9);
 
     // OpTop runs unchanged on the piecewise class.
-    let r = optop(&links);
-    assert!((links.induced_cost(&r.strategy) - r.optimum_cost).abs() < 1e-6);
+    let r = try_optop(&links).unwrap();
+    assert!((links.try_induced_cost(&r.strategy).unwrap() - r.optimum_cost).abs() < 1e-6);
 }
 
 #[test]
 fn tolls_and_stackelberg_agree_on_fig4() {
     let links = fig4_links();
-    let ot = optop(&links);
-    let tl = marginal_cost_tolls(&links);
+    let ot = try_optop(&links).unwrap();
+    let tl = try_marginal_cost_tolls(&links).unwrap();
     // Both restore the optimum cost (tolls are transfers: evaluate the
     // original latencies at the tolled equilibrium).
-    let tolled_nash = tl.tolled.nash();
+    let tolled_nash = tl.tolled.try_nash().unwrap();
     assert!((links.cost(tolled_nash.flows()) - ot.optimum_cost).abs() < 1e-6);
-    assert!((links.induced_cost(&ot.strategy) - ot.optimum_cost).abs() < 1e-8);
+    assert!((links.try_induced_cost(&ot.strategy).unwrap() - ot.optimum_cost).abs() < 1e-8);
     // The flows agree with the optimum on every link.
     for (i, (got, want)) in tolled_nash.flows().iter().zip(&tl.optimum).enumerate() {
         assert!((got - want).abs() < 1e-6, "link {i}");
@@ -63,7 +63,7 @@ fn network_tolls_on_fig7() {
     let inst = fig7_instance(0.05);
     let opts = FwOptions::default();
     let t = try_marginal_cost_tolls_multi(&inst, &opts).unwrap();
-    let nash = multicommodity_nash(&t.tolled, &opts);
+    let nash = try_multicommodity_nash(&t.tolled, &opts, None).unwrap();
     // Latency cost of the tolled equilibrium = C(O) of the original.
     let c = inst.cost(nash.flow.as_slice());
     let copt = inst.cost(&t.optimum);
@@ -74,7 +74,7 @@ fn network_tolls_on_fig7() {
 fn curve_crossover_matches_beta_on_fig4() {
     let links = fig4_links();
     let alphas: Vec<f64> = (0..=24).map(|k| k as f64 / 24.0).collect();
-    let curve = anarchy_curve(&links, &alphas);
+    let curve = anarchy_curve(&links, &alphas).unwrap();
     for p in &curve.points {
         if p.alpha >= curve.beta {
             assert!(
@@ -104,7 +104,7 @@ fn spec_parser_drives_real_computation() {
     // The low-level parser remains available for custom pipelines.
     let lats = parse_links("mm1:2.0, mm1:4.0, 0.9").expect("mixed spec");
     let links = ParallelLinks::new(lats, 2.0);
-    let n = links.nash();
+    let n = links.try_nash().unwrap();
     certify_parallel(links.latencies(), n.flows(), 2.0, CostModel::Wardrop, 1e-6)
         .expect("spec-built Nash certified");
 }
@@ -118,7 +118,7 @@ fn session_api_matches_algorithm_surface_on_fig4() {
         .run()
         .expect("fig4 solves");
     let b = report.data.as_beta().unwrap();
-    let ot = optop(&fig4_links());
+    let ot = try_optop(&fig4_links()).unwrap();
     assert!((b.beta - ot.beta).abs() < 1e-12);
     assert!((b.nash_cost - ot.nash_cost).abs() < 1e-12);
     assert!((b.optimum_cost - ot.optimum_cost).abs() < 1e-12);

@@ -3,13 +3,13 @@
 //! mechanical core).
 
 use proptest::prelude::*;
-use stackopt::core::optop::optop;
+use stackopt::core::optop::try_optop;
 use stackopt::core::theorems::{
     frozen_induced_flow, monotonicity_violation, useless_strategy_deviation,
 };
 use stackopt::equilibrium::certify::certify_parallel;
 use stackopt::equilibrium::cost::coordination_ratio;
-use stackopt::instances::random::{random_affine, random_mixed};
+use stackopt::instances::random::{try_random_affine, try_random_mixed};
 use stackopt::solver::objective::CostModel;
 
 proptest! {
@@ -19,32 +19,32 @@ proptest! {
     #[test]
     fn prop_7_1_monotonicity(seed in 0u64..5000, r1 in 0.05..2.0f64, r2 in 0.05..2.0f64) {
         let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-        let links = random_mixed(5, hi, seed);
-        let v = monotonicity_violation(links.latencies(), lo, hi);
+        let links = try_random_mixed(5, hi, seed).unwrap();
+        let v = monotonicity_violation(links.latencies(), lo, hi).unwrap();
         prop_assert!(v <= 1e-6, "violation {v}");
     }
 
     /// Theorem 7.2: strategies below the Nash profile change nothing.
     #[test]
     fn thm_7_2_useless_strategies(seed in 0u64..5000, frac in 0.0..1.0f64) {
-        let links = random_mixed(4, 1.0, seed);
-        let nash = links.nash().flows().to_vec();
+        let links = try_random_mixed(4, 1.0, seed).unwrap();
+        let nash = links.try_nash().unwrap().flows().to_vec();
         let s: Vec<f64> = nash.iter().map(|n| n * frac).collect();
-        let dev = useless_strategy_deviation(&links, &s);
+        let dev = useless_strategy_deviation(&links, &s).unwrap();
         prop_assert!(dev <= 1e-6, "S+T deviates from N by {dev}");
     }
 
     /// Theorem 7.4 / Lemma 7.5: frozen links get no induced flow.
     #[test]
     fn thm_7_4_frozen_links(seed in 0u64..5000, bump in 0.0..0.3f64, k in 0usize..4) {
-        let links = random_mixed(4, 1.0, seed);
-        let nash = links.nash().flows().to_vec();
+        let links = try_random_mixed(4, 1.0, seed).unwrap();
+        let nash = links.try_nash().unwrap().flows().to_vec();
         // Freeze link k at its Nash load plus a bump (capped by the budget).
         let mut s = vec![0.0; 4];
         s[k] = (nash[k] + bump).min(links.rate());
         if let Ok(cap_ok) = links.try_induced(&s) {
             let _ = cap_ok;
-            let t = frozen_induced_flow(&links, &s);
+            let t = frozen_induced_flow(&links, &s).unwrap();
             prop_assert!(t <= 1e-6, "frozen link received {t}");
         }
     }
@@ -53,9 +53,9 @@ proptest! {
     /// exceeds 4/3 (Roughgarden–Tardos; Pigou attains it).
     #[test]
     fn linear_poa_bounded_by_four_thirds(seed in 0u64..5000, rate in 0.1..3.0f64) {
-        let links = random_affine(5, rate, seed);
-        let cn = links.cost(links.nash().flows());
-        let co = links.cost(links.optimum().flows());
+        let links = try_random_affine(5, rate, seed).unwrap();
+        let cn = links.cost(links.try_nash().unwrap().flows());
+        let co = links.cost(links.try_optimum().unwrap().flows());
         let ratio = coordination_ratio(cn, co);
         prop_assert!(ratio <= 4.0 / 3.0 + 1e-6, "PoA {ratio}");
         prop_assert!(ratio >= 1.0 - 1e-9);
@@ -65,10 +65,10 @@ proptest! {
     /// optimum, certified against the KKT conditions, and β ∈ [0, 1].
     #[test]
     fn optop_enforces_optimum(seed in 0u64..5000, rate in 0.2..2.0f64) {
-        let links = random_mixed(5, rate, seed);
-        let r = optop(&links);
+        let links = try_random_mixed(5, rate, seed).unwrap();
+        let r = try_optop(&links).unwrap();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&r.beta));
-        let ind = links.induced(&r.strategy);
+        let ind = links.try_induced(&r.strategy).unwrap();
         let c = links.cost(&ind.total);
         prop_assert!((c - r.optimum_cost).abs() <= 1e-5 * r.optimum_cost.max(1.0),
             "induced {c} vs C(O) {}", r.optimum_cost);
@@ -81,9 +81,9 @@ proptest! {
     /// The equalizer's equilibria satisfy their defining certificates.
     #[test]
     fn equilibria_certified(seed in 0u64..5000, rate in 0.1..2.5f64) {
-        let links = random_mixed(6, rate, seed);
-        let n = links.nash();
-        let o = links.optimum();
+        let links = try_random_mixed(6, rate, seed).unwrap();
+        let n = links.try_nash().unwrap();
+        let o = links.try_optimum().unwrap();
         prop_assert!(certify_parallel(links.latencies(), n.flows(), rate,
             CostModel::Wardrop, 1e-6).is_ok());
         prop_assert!(certify_parallel(links.latencies(), o.flows(), rate,
@@ -96,10 +96,10 @@ proptest! {
     /// strategy (minimality flavour of Corollary 2.2 along this ray).
     #[test]
     fn optop_ray_monotone(seed in 0u64..5000, gamma in 0.0..1.0f64) {
-        let links = random_mixed(4, 1.0, seed);
-        let r = optop(&links);
+        let links = try_random_mixed(4, 1.0, seed).unwrap();
+        let r = try_optop(&links).unwrap();
         let scaled: Vec<f64> = r.strategy.iter().map(|s| s * gamma).collect();
-        let c = links.induced_cost(&scaled);
+        let c = links.try_induced_cost(&scaled).unwrap();
         prop_assert!(c >= r.optimum_cost - 1e-7, "scaled OpTop beat C(O): {c}");
     }
 }

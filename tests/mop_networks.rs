@@ -1,12 +1,12 @@
 //! Randomized end-to-end MOP validation on layered networks: the strategy
 //! must induce the optimum and β must be minimal along the scaling ray.
 
-use stackopt::core::mop_multi::mop_multi;
+use stackopt::core::mop_multi::try_mop_multi;
 use stackopt::equilibrium::certify::certify_network;
-use stackopt::equilibrium::network::{induced_multicommodity, multicommodity_optimum};
-use stackopt::instances::random::random_layered_network;
+use stackopt::equilibrium::network::{try_induced_multicommodity, try_multicommodity_optimum};
+use stackopt::instances::random::try_random_layered_network;
 use stackopt::network::flow::decompose;
-use stackopt::network::spath::dijkstra;
+use stackopt::network::{Csr, SpWorkspace};
 use stackopt::network::{Network, NetworkInstance};
 use stackopt::solver::frank_wolfe::FwOptions;
 use stackopt::solver::objective::CostModel;
@@ -23,9 +23,11 @@ fn opts() -> FwOptions {
 /// optimal edge costs. A greedy decomposition can waste shortest-path
 /// capacity, so its β bounds MOP's exact (max-flow) β from above.
 fn greedy_beta(inst: &NetworkInstance, opts: &FwOptions) -> f64 {
-    let optimum = multicommodity_optimum(inst, opts).flow;
+    let optimum = try_multicommodity_optimum(inst, opts, None).unwrap().flow;
     let costs = inst.edge_costs(optimum.as_slice());
-    let dist = dijkstra(&inst.graph, &costs, inst.source).dist[inst.sink.idx()];
+    let mut ws = SpWorkspace::new();
+    ws.dijkstra(&Csr::new(&inst.graph), &costs, inst.source);
+    let dist = ws.dist()[inst.sink.idx()];
     let tol = 1e-6 * dist.abs().max(1.0);
     let free: f64 = decompose(&inst.graph, &optimum, inst.source, inst.sink)
         .paths
@@ -39,8 +41,8 @@ fn greedy_beta(inst: &NetworkInstance, opts: &FwOptions) -> f64 {
 #[test]
 fn mop_induces_optimum_on_random_layered_nets() {
     for seed in 0..8u64 {
-        let inst = random_layered_network(3, 3, 2.0, seed);
-        let r = mop_multi(&inst, &opts());
+        let inst = try_random_layered_network(3, 3, 2.0, seed).unwrap();
+        let r = try_mop_multi(&inst, &opts()).unwrap();
         assert!(
             (0.0..=1.0 + 1e-6).contains(&r.beta),
             "seed {seed}: β = {}",
@@ -53,7 +55,8 @@ fn mop_induces_optimum_on_random_layered_nets() {
 
         // Leader + induced followers = optimum cost.
         let values = [r.commodities[0].leader_value];
-        let follower = induced_multicommodity(&inst, &r.leader_total, &values, &opts());
+        let follower =
+            try_induced_multicommodity(&inst, &r.leader_total, &values, &opts(), None).unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -73,8 +76,8 @@ fn mop_induces_optimum_on_random_layered_nets() {
 #[test]
 fn mop_beta_never_exceeds_greedy_on_random_nets() {
     for seed in 0..8u64 {
-        let inst = random_layered_network(3, 3, 2.0, seed);
-        let exact = mop_multi(&inst, &opts());
+        let inst = try_random_layered_network(3, 3, 2.0, seed).unwrap();
+        let exact = try_mop_multi(&inst, &opts()).unwrap();
         let greedy = greedy_beta(&inst, &opts());
         assert!(
             exact.beta <= greedy + 1e-6,
@@ -87,8 +90,8 @@ fn mop_beta_never_exceeds_greedy_on_random_nets() {
 #[test]
 fn mop_leader_and_free_parts_partition_optimum() {
     for seed in [2u64, 5, 11] {
-        let inst = random_layered_network(2, 4, 1.5, seed);
-        let r = mop_multi(&inst, &opts());
+        let inst = try_random_layered_network(2, 4, 1.5, seed).unwrap();
+        let r = try_mop_multi(&inst, &opts()).unwrap();
         let c = &r.commodities[0];
         for e in 0..inst.num_edges() {
             let o = r.optimum_total.as_slice()[e];
@@ -110,18 +113,20 @@ fn scaled_down_mop_strategy_misses_optimum() {
     // Minimality along the ray: 80% of the MOP strategy cannot induce C(O)
     // whenever β > 0 and the instance is not already optimal at Nash.
     for seed in 0..8u64 {
-        let inst = random_layered_network(3, 3, 2.0, seed);
-        let r = mop_multi(&inst, &opts());
+        let inst = try_random_layered_network(3, 3, 2.0, seed).unwrap();
+        let r = try_mop_multi(&inst, &opts()).unwrap();
         if r.beta < 0.05 {
             continue;
         }
         let scaled: Vec<f64> = r.leader_total.as_slice().iter().map(|x| x * 0.8).collect();
-        let follower = induced_multicommodity(
+        let follower = try_induced_multicommodity(
             &inst,
             &stackopt::network::flow::EdgeFlow(scaled.clone()),
             &[r.commodities[0].leader_value * 0.8],
             &opts(),
-        );
+            None,
+        )
+        .unwrap();
         let total: Vec<f64> = scaled
             .iter()
             .zip(follower.flow.as_slice())

@@ -1,11 +1,11 @@
 //! Integration tests pinning every number of the paper's worked examples
 //! (Experiments E1–E4 of DESIGN.md).
 
-use stackopt::core::mop_multi::mop_multi;
-use stackopt::core::optop::optop;
+use stackopt::core::mop_multi::try_mop_multi;
+use stackopt::core::optop::try_optop;
 use stackopt::core::theorems::swap_reassignment;
 use stackopt::equilibrium::cost::coordination_ratio;
-use stackopt::equilibrium::network::{induced_multicommodity, multicommodity_nash};
+use stackopt::equilibrium::network::{try_induced_multicommodity, try_multicommodity_nash};
 use stackopt::instances::braess::{fig7_expected, fig7_instance};
 use stackopt::instances::fig4::{fig4_expected, fig4_links};
 use stackopt::instances::pigou::{pigou_expected, pigou_links};
@@ -19,19 +19,19 @@ fn e1_pigou_figures() {
     let links = pigou_links();
     let e = pigou_expected();
 
-    let nash = links.nash();
-    let opt = links.optimum();
+    let nash = links.try_nash().unwrap();
+    let opt = links.try_optimum().unwrap();
     assert!((links.cost(nash.flows()) - e.nash_cost).abs() < 1e-9);
     assert!((links.cost(opt.flows()) - e.optimum_cost).abs() < 1e-9);
     assert!((coordination_ratio(e.nash_cost, e.optimum_cost) - e.coordination_ratio).abs() < 1e-12);
 
     // OpTop recovers Fig. 2's strategy and Fig. 3's induced equilibrium.
-    let r = optop(&links);
+    let r = try_optop(&links).unwrap();
     assert!((r.beta - e.beta).abs() < 1e-9);
     for (got, want) in r.strategy.iter().zip(&e.strategy) {
         assert!((got - want).abs() < 1e-9);
     }
-    let induced = links.induced(&r.strategy);
+    let induced = links.try_induced(&r.strategy).unwrap();
     assert!((induced.follower[0] - 0.5).abs() < 1e-9, "T = ⟨1/2, 0⟩");
     assert!(induced.follower[1].abs() < 1e-9);
     assert!((links.cost(&induced.total) - e.optimum_cost).abs() < 1e-9);
@@ -42,7 +42,7 @@ fn e1_pigou_figures() {
 fn e2_optop_walkthrough() {
     let links = fig4_links();
     let e = fig4_expected();
-    let r = optop(&links);
+    let r = try_optop(&links).unwrap();
 
     // Fig. 4: initial equilibria.
     for i in 0..5 {
@@ -54,7 +54,7 @@ fn e2_optop_walkthrough() {
     assert!((r.strategy[3] - e.optimum[3]).abs() < 1e-9);
     assert!((r.strategy[4] - e.optimum[4]).abs() < 1e-9);
     // Fig. 6: the remaining selfish flow lands on the optimum.
-    let induced = links.induced(&r.strategy);
+    let induced = links.try_induced(&r.strategy).unwrap();
     for i in 0..5 {
         assert!(
             (induced.total[i] - e.optimum[i]).abs() < 1e-7,
@@ -71,7 +71,7 @@ fn e3_fig7_mop() {
     for &eps in &[0.0, 0.01, 0.05, 0.1] {
         let inst = fig7_instance(eps);
         let e = fig7_expected(eps);
-        let r = mop_multi(&inst, &opts);
+        let r = try_mop_multi(&inst, &opts).unwrap();
         let c = &r.commodities[0];
 
         // Fig. 7(a): optimal edge flows.
@@ -92,7 +92,9 @@ fn e3_fig7_mop() {
 
         // The strategy achieves approximation guarantee exactly 1
         // (Remark 3.1: despite [41, Ex 6.5.1], MOP hits the optimum here).
-        let follower = induced_multicommodity(&inst, &r.leader_total, &[c.leader_value], &opts);
+        let follower =
+            try_induced_multicommodity(&inst, &r.leader_total, &[c.leader_value], &opts, None)
+                .unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -103,7 +105,7 @@ fn e3_fig7_mop() {
         assert!((inst.cost(&total) - e.optimum_cost).abs() < 1e-4, "ε={eps}");
 
         // Cross-check the closed-form Nash cost 2 − 4ε.
-        let nash = multicommodity_nash(&inst, &opts);
+        let nash = try_multicommodity_nash(&inst, &opts, None).unwrap();
         assert!(
             (inst.cost(nash.flow.as_slice()) - e.nash_cost).abs() < 1e-4,
             "ε={eps}"

@@ -95,7 +95,7 @@ fn warm_across_restart_is_bit_identical_and_counts_disk_hits() {
 
     // The log exists, is versioned, and holds one record per unique solve.
     let log = std::fs::read_to_string(&cache_file.0).unwrap();
-    assert!(log.starts_with("soptcache 3\n"), "missing header: {log}");
+    assert!(log.starts_with("soptcache 4\n"), "missing header: {log}");
     assert!(log.lines().skip(1).count() >= first.len());
 
     // Warm process: the same requests replay from the log — report-table
@@ -139,9 +139,13 @@ fn restarted_server_extends_the_log_rather_than_clobbering_it() {
 #[test]
 fn foreign_cache_files_are_refused_with_a_typed_error() {
     let cache_file = TempPath::new("foreign");
-    // A version-2 log (its profile records carry knob tokens this version
-    // no longer reads) is refused like any foreign file.
-    for text in ["definitely not a soptcache\n", "soptcache 2\n"] {
+    // Version-2 and version-3 logs (their records carry knob tokens this
+    // version no longer reads) are refused like any foreign file.
+    for text in [
+        "definitely not a soptcache\n",
+        "soptcache 2\n",
+        "soptcache 3\n",
+    ] {
         std::fs::write(&cache_file.0, text).unwrap();
         let err = EngineBuilder::new()
             .persist(&cache_file.0)

@@ -7,7 +7,7 @@ use stackopt::equilibrium::network::{
     try_induced_multicommodity, try_multicommodity_nash, try_multicommodity_optimum,
     warm_seed_from_per,
 };
-use stackopt::instances::random::{random_layered_network, random_multicommodity};
+use stackopt::instances::random::{try_random_layered_network, try_random_multicommodity};
 use stackopt::network::instance::{MultiCommodityInstance, NetworkInstance};
 use stackopt::network::EdgeFlow;
 use stackopt::solver::frank_wolfe::FwOptions;
@@ -24,7 +24,7 @@ fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
 
 #[test]
 fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
-    let base = random_layered_network(4, 4, 8.0, 7);
+    let base = try_random_layered_network(4, 4, 8.0, 7).unwrap();
     let opts = FwOptions::default();
     let cold_base = try_multicommodity_optimum(&base, &opts, None).unwrap();
     assert!(cold_base.converged);
@@ -48,7 +48,7 @@ fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
 
 #[test]
 fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
-    let inst = random_layered_network(4, 4, 8.0, 7);
+    let inst = try_random_layered_network(4, 4, 8.0, 7).unwrap();
     let opts = FwOptions::default();
     let optimum = try_multicommodity_optimum(&inst, &opts, None).unwrap();
 
@@ -85,7 +85,7 @@ fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
 fn perturbed_multicommodity_warm_start_is_equivalent_and_cheaper() {
     // A rate-perturbed k-commodity instance: the seed rescales per
     // commodity and must land on the same equilibrium within 1e-5.
-    let base = random_multicommodity(3, 3, 2, 6.0, 11);
+    let base = try_random_multicommodity(3, 3, 2, 6.0, 11).unwrap();
     let opts = FwOptions::default();
     let cold_base = try_multicommodity_optimum(&base, &opts, None).unwrap();
     assert!(cold_base.converged);
@@ -145,7 +145,7 @@ fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
     // thread the fan-out) and the historical per-commodity sequential
     // loop must agree on every edge flow, cold- and warm-started alike.
     use stackopt::solver::AonMode;
-    let base = random_multicommodity(3, 3, 2, 6.0, 11);
+    let base = try_random_multicommodity(3, 3, 2, 6.0, 11).unwrap();
     let auto = FwOptions::default();
     let sequential = FwOptions {
         aon: AonMode::Sequential,
@@ -180,7 +180,7 @@ fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
 
 #[test]
 fn unusable_seed_falls_back_to_cold_and_still_solves() {
-    let inst = random_layered_network(3, 3, 4.0, 3);
+    let inst = try_random_layered_network(3, 3, 4.0, 3).unwrap();
     let opts = FwOptions::default();
     // A zero flow has no s→t value: silently ignored.
     let zero = warm_seed_from_per(vec![EdgeFlow::zeros(inst.num_edges())]);
